@@ -1,10 +1,12 @@
 """Symmetry-adapted basis functions as coefficient matrices over Y^l.
 
-For each irrep p and degree l the group-averaged projector is applied to
-real harmonics (one fixed projector column k, m swept over -l..l), the
-resulting d_p x (2l+1) candidate blocks are normalized and orthogonalized
-by modified Gram-Schmidt under the Frobenius inner product, and exactly
-the character-theory multiplicity of blocks must survive.
+Construction works on real harmonics Z^l, which rotations map by the real
+orthogonal W_g = U^H D_g U.  For irrep p and degree l the projector
+P_{j1} = (d_p/N) sum_g Gamma_r(g)_{j1} W_g is real, and P_11 is symmetric
+with eigenvalues 0 and 1, exactly N_{p;l} of them 1.  Each unit eigenvector
+v of P_11 gives one block A with rows P_{j1} v, orthonormal and real by
+Schur orthogonality, and H = A U^T over Y^l.  projection_coefficients, a
+second route to the same subspace, is kept as the tests' reference.
 """
 
 from __future__ import annotations
@@ -17,12 +19,12 @@ from .groups import Group, Irrep, irrep_multiplicity
 from .realify import RealIrrep
 from . import wigner
 
-RANK_TOL = 1e-6            # post-projection norm below this discards a candidate
+EIGEN_TOL = 1e-10          # distance of a projector eigenvalue from 0 or 1
 DUAL_ROUTE_TOL = 1e-11     # agreement of the M-product and explicit-D routes
 
 
 class BasisError(RuntimeError):
-    """Survivor count disagreeing with the multiplicity oracle, or a
+    """Projector rank disagreeing with the multiplicity oracle, or a
     broken construction invariant."""
 
 
@@ -110,7 +112,7 @@ def projection_coefficients(real_irrep: RealIrrep, group: Group, l: int,
                          f"(p={real_irrep.p}, l={l}, m={m}, k={k})")
     # The projector output satisfies conj(c_{m'}) = (-1)^{m'} c_{-m'}
     # exactly; project the numerical result back onto that subspace so the
-    # condition survives downstream Gram-Schmidt to machine precision.
+    # condition holds to machine precision.
     signs = (-1.0) ** np.arange(-l, l + 1)
     sym = 0.5 * (route1 + signs * route1[:, ::-1].conj())
     drift = np.abs(sym - route1).max()
@@ -128,75 +130,43 @@ def realness_row_condition(h: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.abs(h.conj() - signs * h[:, ::-1]).max() <= tol)
 
 
-def _canonical_sign(h: np.ndarray) -> np.ndarray:
-    """Flip the whole block so its first nonzero entry (row-major) has a
-    positive leading component.  Only +-1 is applied: a complex phase
-    would break the realness row condition and the transformation law."""
-    flat = h.ravel()
-    idx = np.flatnonzero(np.abs(flat) > 1e-9)
-    if idx.size == 0:
-        return h
-    z = flat[idx[0]]
-    lead = z.real if abs(z.real) > 1e-9 else z.imag
-    return -h if lead < 0 else h
-
-
 def build_basis(real_irrep: RealIrrep, group: Group, l: int,
                 multiplicity: int | None = None,
-                d_stack: np.ndarray | None = None) -> list[CoeffMatrix]:
+                w_stack: np.ndarray | None = None) -> list[CoeffMatrix]:
     """Orthonormal coefficient matrices for one (p, l); exactly the
     character-theory multiplicity of them, or an empty list if the irrep
-    does not occur at this degree.
+    does not occur at this degree.  ``w_stack`` is
+    wigner.real_wigner_stack(l, group.elements), built here if not given.
     """
+    p = real_irrep.p
     if multiplicity is None:
-        val = np.vdot(real_irrep.characters, _so3_chi(group, l)).real / group.order
-        multiplicity = int(round(val))
-    if multiplicity == 0:
-        return []
-    if d_stack is None:
-        d_stack = wigner.wigner_D_stack(l, group.elements)
-
-    d_p = real_irrep.dim
-    accepted: list[np.ndarray] = []
-    for k in range(1, d_p + 1):
-        for m in range(-l, l + 1):
-            if len(accepted) == multiplicity:
-                break
-            cand = projection_coefficients(real_irrep, group, l, m, k,
-                                           d_stack=d_stack)
-            c_norm = np.linalg.norm(cand[k - 1])        # c^p_{k,l,m}
-            if c_norm < RANK_TOL:
-                continue
-            cand = cand / c_norm
-            # Modified Gram-Schmidt under the Frobenius inner product.
-            for a in accepted:
-                cand = cand - (np.vdot(a, cand) / np.vdot(a, a)) * a
-            resid = np.linalg.norm(cand) / np.sqrt(d_p)
-            if resid < RANK_TOL:
-                continue
-            cand = cand * (np.sqrt(d_p) / np.linalg.norm(cand))
-            accepted.append(cand)
-        if len(accepted) == multiplicity:
-            break
-
-    if len(accepted) != multiplicity:
+        multiplicity = irrep_multiplicity(group, real_irrep, l)
+    if w_stack is None:
+        w_stack = wigner.real_wigner_stack(l, group.elements)
+    proj = (real_irrep.dim / group.order) * np.tensordot(
+        real_irrep.matrices[:, :, 0], w_stack, axes=(0, 0))    # P_{j1}, j = 1..d_p
+    evals, evecs = np.linalg.eigh(proj[0])
+    dev = float(np.minimum(np.abs(evals), np.abs(evals - 1.0)).max())
+    unit = evals > 0.5
+    if dev > EIGEN_TOL or unit.sum() != multiplicity:
         raise BasisError(
-            f"survivor count {len(accepted)} != multiplicity {multiplicity} "
-            f"for p={real_irrep.p}, l={l}; convention or irrep bug")
-
+            f"projector P_11 for p={p}, l={l} has {unit.sum()} unit eigenvalues, "
+            f"multiplicity is {multiplicity}; worst eigenvalue distance from "
+            f"{{0, 1}} is {dev:.2e}")
+    v = evecs[:, unit]
+    # sign: largest-magnitude entry positive, ties to the lowest index
+    v = v * np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])
+    rows = proj @ v                                   # (d_p, 2l+1, multiplicity)
+    u_t = wigner.real_sh_transform(l).T
     out = []
-    for n, h in enumerate(accepted, start=1):
-        h = _canonical_sign(h)
+    for n in range(1, multiplicity + 1):
+        a = rows[:, :, n - 1]
+        h = a @ u_t.real + 1j * (a @ u_t.imag)        # A U^T by real products only
         if not realness_row_condition(h):
-            raise BasisError(f"realness row condition violated (p={real_irrep.p}, "
+            raise BasisError(f"realness row condition violated (p={p}, "
                              f"l={l}, n={n})")
-        out.append(CoeffMatrix(p=real_irrep.p, l=l, n=n, H=h))
+        out.append(CoeffMatrix(p=p, l=l, n=n, H=h))
     return out
-
-
-def _so3_chi(group: Group, l: int) -> np.ndarray:
-    from .groups import so3_character
-    return so3_character(l, group.rotation_angles())
 
 
 def build_basis_set(group: Group, irreps: list[Irrep],
@@ -205,14 +175,15 @@ def build_basis_set(group: Group, irreps: list[Irrep],
     """All coefficient matrices up to l_max for the potentially-real irreps."""
     bs = BasisSet(group_name=group.name or "?", l_max=l_max, seed=seed)
     for l in range(l_max + 1):
-        d_stack = wigner.wigner_D_stack(l, group.elements)
+        w_stack = wigner.real_wigner_stack(l, group.elements)
         for irrep in irreps:
             r = real_irreps.get(irrep.p)
             if r is None:
                 continue
             mult = irrep_multiplicity(group, irrep, l)
             bs.blocks.extend(build_basis(r, group, l, multiplicity=mult,
-                                         d_stack=d_stack))
+                                         w_stack=w_stack))
+        del w_stack     # not held while the next degree's is built: ~10 % of peak RSS
     return bs
 
 

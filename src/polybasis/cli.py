@@ -16,6 +16,7 @@ from .groups import GROUP_NAMES, build_atlas, group_to_dict
 from .realify import solve_all
 from .basis import build_basis_set
 from .verify import verify_basis_set
+from . import basis as pbasis
 from . import io as pio
 
 L_MAX_LIMIT = 45
@@ -26,13 +27,6 @@ def _seed_from(seed: int | None) -> int:
         return seed
     env = os.environ.get("POLYBASIS_SEED")
     return int(env) if env else 0
-
-
-def _pipeline(group_name: str, l_max: int, seed: int):
-    group, irreps = build_atlas(group_name)
-    _, real = solve_all(group, irreps, seed=seed)
-    basis_set = build_basis_set(group, irreps, real, l_max=l_max, seed=seed)
-    return group, irreps, real, basis_set
 
 
 @click.group()
@@ -53,7 +47,9 @@ def main():
 def basis(group_name, lmax, seed, out_dir, no_verify):
     """Compute coefficient files up to LMAX and verify them."""
     seed = _seed_from(seed)
-    group, irreps, real, basis_set = _pipeline(group_name, lmax, seed)
+    group, irreps = build_atlas(group_name)
+    _, real = solve_all(group, irreps, seed=seed)
+    basis_set = build_basis_set(group, irreps, real, l_max=lmax, seed=seed)
     paths = pio.save_basis_set(basis_set, out_dir)
     (out_dir / f"group_{group_name}.json").write_text(
         json.dumps(group_to_dict(group, irreps), indent=1) + "\n")
@@ -86,11 +82,17 @@ def basis(group_name, lmax, seed, out_dir, no_verify):
 def mesh(group_name, p, l, n, j, k1, k2, subdiv, seed, out_path):
     """Export one basis-function component as a radially displaced sphere."""
     seed = _seed_from(seed)
-    _, _, _, basis_set = _pipeline(group_name, l, seed)
-    try:
-        block = basis_set.get(p, l, n)
-    except KeyError as exc:
-        raise click.ClickException(str(exc)) from exc
+    group, irreps = build_atlas(group_name)
+    _, real = solve_all(group, irreps, seed=seed)
+    if p not in real:
+        raise click.ClickException(
+            f"no real irrep p={p} for {group_name}; real irreps: p in {sorted(real)}")
+    blocks = {b.n: b for b in pbasis.build_basis(real[p], group, l)}
+    if n not in blocks:
+        raise click.ClickException(
+            f"no basis function (p={p}, l={l}, n={n}); available: "
+            f"n in {sorted(blocks)}")
+    block = blocks[n]
     if not 1 <= j <= block.dim:
         raise click.ClickException(
             f"component j={j} out of range 1..{block.dim} for p={p}")

@@ -76,22 +76,19 @@ def frobenius_schur(irrep: Irrep, group: Group) -> RealnessVerdict:
 def build_C(irrep: Irrep, seed: int) -> ConeigenProblem:
     """Group-average a random symmetric matrix into the unitary symmetric C.
 
-    Z = (1/N) sum_g Gamma(g) A Gamma(g)^T with A = A^T random; then
-    conj(Z) Z = c I and C = Z / sqrt(c).  Degenerate draws (Z ~ 0) are
-    retried with consecutive seeds, at most 16 times.
+    Z = (1/N) sum_g Gamma(g) A Gamma(g)^T with A = A^T drawn from the
+    stream [seed, p]; then conj(Z) Z = c I and C = Z / sqrt(c).  A
+    degenerate draw (Z ~ 0) raises.
     """
     d = irrep.dim
     mats = irrep.matrices
-    n = mats.shape[0]
-    for attempt in range(16):
-        rng = np.random.default_rng([seed + attempt, irrep.p])
-        a = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
-        a = a + a.T
-        z = np.einsum("gij,jk,glk->il", mats, a, mats) / n
-        if np.linalg.norm(z) >= 1e-6:
-            break
-    else:
-        raise RealifyError("could not draw a non-degenerate A in 16 attempts")
+    rng = np.random.default_rng([seed, irrep.p])
+    a = rng.uniform(-1, 1, (d, d)) + 1j * rng.uniform(-1, 1, (d, d))
+    a = a + a.T
+    z = np.einsum("gij,jk,glk->il", mats, a, mats) / mats.shape[0]
+    if np.linalg.norm(z) < 1e-6:
+        raise RealifyError(f"degenerate draw: group-averaged Z vanishes "
+                           f"(p={irrep.p}, seed={seed})")
 
     zz = z.conj() @ z
     c_z = np.trace(zz).real / d
@@ -150,8 +147,8 @@ def solve_real_irrep(irrep: Irrep, group: Group, seed: int = 0) -> RealIrrep:
     """Full pipeline for one irrep; refuses non-potentially-real input.
 
     A 1-D irrep whose matrix entries are already real keeps S = [1] (no
-    needless phase); otherwise the coneigenvector construction is run,
-    with a few rounds of re-randomized retries on numerical failure.
+    needless phase); otherwise the coneigenvector construction is run once,
+    and any numerical failure raises RealifyError.
     """
     verdict = frobenius_schur(irrep, group)
     if not verdict.potentially_real:
@@ -161,15 +158,8 @@ def solve_real_irrep(irrep: Irrep, group: Group, seed: int = 0) -> RealIrrep:
     if _real_one_dim(irrep):
         s = np.eye(irrep.dim, dtype=complex)
         return realify_irrep(irrep, s, seed=seed)
-    for attempt in range(4):
-        try:
-            problem = build_C(irrep, seed + 1000 * attempt)
-            s = takagi_via_real_eig(problem)
-            return realify_irrep(irrep, s, seed=seed)
-        except RealifyError:
-            if attempt == 3:
-                raise
-    raise AssertionError("unreachable")
+    s = takagi_via_real_eig(build_C(irrep, seed))
+    return realify_irrep(irrep, s, seed=seed)
 
 
 def solve_all(group: Group, irreps: list[Irrep], seed: int = 0

@@ -244,8 +244,7 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
                        for r in real_irreps.values())
             worst_rows = max(worst_rows, abs(rows - want))
     if basis_set.group_name in ("O", "I"):
-        report.add("completeness_full_H_unitary", worst_c,
-                   CONSTRUCTION_TOL if l_max <= 15 else END_TO_END_TOL)
+        report.add("completeness_full_H_unitary", worst_c, CONSTRUCTION_TOL)
     else:
         # Row counts are integers: any mismatch is at least 1.
         report.add("tetrahedral_row_deficit", worst_rows, 0.5)

@@ -196,6 +196,29 @@ def real_sh_transform(l: int) -> np.ndarray:
     return u
 
 
+def real_wigner_stack(l: int, rotations: np.ndarray) -> np.ndarray:
+    """Real orthogonal W^l = U^H D^l U for a stack of rotations, so that
+    Z^l(R^-1 x) = W^T Z^l(x).
+
+    U has its nonzeros at (c, c) and (2l-c, c) only, so both products are
+    taken entry-wise: cheaper than matrix products, and no complex BLAS
+    product, after which scipy's harmonics can run ~10x slower.
+    """
+    d_stack = wigner_D_stack(l, rotations)
+    u = real_sh_transform(l)
+    diag = u.diagonal()
+    mirror = np.where(np.arange(2 * l + 1) == l, 0.0, u[::-1].diagonal())
+    out = np.empty(d_stack.shape)
+    for i, d in enumerate(d_stack):        # one at a time: no stack-sized temporaries
+        du = d * diag + d[:, ::-1] * mirror
+        w = diag.conj()[:, None] * du + mirror.conj()[:, None] * du[::-1]
+        resid = np.abs(w.imag).max()
+        if resid > 1e-12:
+            raise AssertionError(f"W = U^H D U came out non-real ({resid:.2e})")
+        out[i] = w.real
+    return out
+
+
 def real_rotation_M(l: int, d: np.ndarray) -> np.ndarray:
     """M^l = D^l U^l, the mixed complex-to-real rotation matrix."""
     return d @ real_sh_transform(l)

@@ -26,3 +26,19 @@ def basis_sets(atlas, real_irreps):
         _, real = real_irreps[name]
         out[name] = build_basis_set(g, irreps, real, l_max=10, seed=7)
     return out
+
+
+# Top-degree sets at the seeds where single-pass Gram-Schmidt lost
+# orthogonality: T at 8, O at 7 (and I at 7).
+SEEDS45 = {"T": 8, "O": 7, "I": 7}
+
+
+@pytest.fixture(scope="session")
+def sets45(atlas):
+    """(real irreps, basis set to l_max=45) per group at SEEDS45."""
+    out = {}
+    for name, (g, irreps) in atlas.items():
+        seed = SEEDS45[name]
+        _, real = solve_all(g, irreps, seed=seed)
+        out[name] = (real, build_basis_set(g, irreps, real, l_max=45, seed=seed))
+    return out

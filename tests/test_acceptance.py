@@ -13,6 +13,7 @@ from polybasis.verify import (check_orthonormality, check_irrep_recovery,
                               check_transformation, quadrature_grid,
                               random_sphere_nodes)
 from polybasis import io as pio
+from polybasis import wigner
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +82,15 @@ def test_criterion_03_completeness_extended_l45(atlas, real_irreps):
         for l in range(46):
             h = assemble_full_H(bs, l)
             assert h.shape == (2 * l + 1, 2 * l + 1)
-            assert np.abs(h @ h.conj().T - np.eye(2 * l + 1)).max() < 1e-8
+            assert np.abs(h @ h.conj().T - np.eye(2 * l + 1)).max() < 1e-10, (name, l)
+    # T is incomplete at most degrees, but its rows stay orthonormal; seed 8
+    # is where single-pass Gram-Schmidt lost it (2.5e-9 at l = 44).
+    group, irreps = atlas["T"]
+    _, real = solve_all(group, irreps, seed=8)
+    bs = build_basis_set(group, irreps, real, l_max=45, seed=8)
+    for l in range(46):
+        h = assemble_full_H(bs, l)
+        assert np.abs(h @ h.conj().T - np.eye(len(h))).max() < 1e-10, ("T", l)
     assert time.perf_counter() - t0 < 120.0
 
 
@@ -115,6 +124,23 @@ def test_criterion_05_transformation_law(atlas, real_irreps, basis_sets):
         for b in basis_sets[name].blocks:        # fixture holds l <= 10
             resid = check_transformation(b, real[b.p], group, nodes)
             assert resid < 1e-8, (b.p, b.l, b.n, resid)
+
+
+@pytest.mark.parametrize("name", "TOI")
+def test_criterion_05_transformation_law_coefficients_l40_45(atlas, sets45, name):
+    """In coefficient space the law I(R_g^-1 x) = Gamma_r(g)^T I(x) reads
+    H D(g)^T = Gamma_r(g)^T H, since Y^l(R_g^-1 x) = D(g)^T Y^l(x); it holds
+    at the construction tolerance for every g and block at the top degrees."""
+    group, _ = atlas[name]
+    real, bs = sets45[name]
+    for l in range(40, 46):
+        d_stack = wigner.wigner_D_stack(l, group.elements)
+        for b in bs.select(l=l):
+            gam = real[b.p].matrices
+            lhs = np.einsum("ja,gba->gjb", b.H, d_stack)
+            rhs = np.einsum("gkj,ka->gja", gam, b.H)
+            resid = np.abs(lhs - rhs).max()
+            assert resid <= 1e-10, (name, b.p, l, b.n, resid)
 
 
 def test_criterion_06_orthonormality(sets15):

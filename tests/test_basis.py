@@ -45,6 +45,25 @@ class TestProjection:
         assert np.abs(proj_kk @ proj_kk - proj_kk).max() < 1e-11
 
 
+@pytest.mark.parametrize("name,p,l", [("O", 5, 43), ("T", 4, 44), ("I", 5, 45)])
+def test_reference_route_spans_built_blocks(atlas, sets45, name, p, l):
+    """Every single-projector image P_{j1} Z_{l,m} (the reference route) lies
+    in the row span of the built (p, l) blocks, and together they span all
+    N_{p;l} d_p rows, at the top-degree (group, p, l) where Gram-Schmidt
+    over those images lost orthogonality."""
+    group, _ = atlas[name]
+    real, bs = sets45[name]
+    h = np.vstack([b.H for b in bs.select(p=p, l=l)])
+    assert len(h) == real[p].dim * irrep_multiplicity(group, real[p], l)
+    d_stack = wigner.wigner_D_stack(l, group.elements)
+    cands = [projection_coefficients(real[p], group, l, m, k=1, d_stack=d_stack)
+             for m in range(-l, l + 1)]
+    stacked = np.vstack(cands)
+    resid = stacked - (stacked @ h.conj().T) @ h
+    assert np.abs(resid).max() <= 1e-10
+    assert np.linalg.matrix_rank(stacked, tol=1e-6) == len(h)
+
+
 class TestBuildBasis:
     @pytest.mark.parametrize("name", "TOI")
     def test_counts_match_multiplicity(self, atlas, real_irreps, basis_sets, name):
@@ -77,6 +96,15 @@ class TestBuildBasis:
         assert b.H.shape == (1, 1)
         assert b.H[0, 0] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", "TOI")
+    def test_sign_convention(self, basis_sets, name):
+        # row 1 over Z^l is the eigenvector v itself (P_11 v = v); its
+        # largest-magnitude entry is positive
+        for b in basis_sets[name].blocks:
+            a1 = b.H[0] @ wigner.real_sh_transform(b.l).conj()
+            assert np.abs(a1.imag).max() < 1e-12
+            assert a1.real[np.abs(a1.real).argmax()] > 0
+
     def test_octahedral_invariant_degrees(self, atlas, real_irreps):
         # first octahedrally invariant harmonics: l = 0, 4, 6
         group, _ = atlas["O"]
@@ -93,8 +121,19 @@ class TestBuildBasis:
     def test_explicit_multiplicity_override_checked(self, atlas, real_irreps):
         group, _ = atlas["O"]
         _, real = real_irreps["O"]
-        with pytest.raises(BasisError, match="survivor count"):
+        with pytest.raises(BasisError, match="unit eigenvalues"):
             build_basis(real[1], group, l=4, multiplicity=2)
+
+    @pytest.mark.parametrize("case", ["fewer", "more", "zero"])
+    def test_wrong_multiplicity_raises(self, atlas, real_irreps, case):
+        # too few and zero used to return a truncated or empty basis
+        group, _ = atlas["I"]
+        _, real = real_irreps["I"]
+        want = irrep_multiplicity(group, real[5], 45)
+        wrong = {"fewer": want - 1, "more": want + 1, "zero": 0}[case]
+        with pytest.raises(BasisError, match=f"p=5, l=45 has {want} unit "
+                                             f"eigenvalues, multiplicity is {wrong}"):
+            build_basis(real[5], group, 45, multiplicity=wrong)
 
     def test_evaluate_matches_manual_contraction(self, basis_sets):
         b = basis_sets["I"].get(5, 2, 1)

@@ -5,6 +5,7 @@ import pytest
 from click.testing import CliRunner
 
 from polybasis import io as pio
+from polybasis.basis import build_basis
 from polybasis.cli import main
 
 
@@ -125,6 +126,33 @@ class TestMeshCommand:
                                    str(tmp_path / "x.obj")])
         assert res.exit_code == 1
         assert "available" in res.output
+
+    def test_complex_irrep_lists_real_ones(self, runner, tmp_path):
+        res = runner.invoke(main, ["mesh", "--group", "T", "--p", "2",
+                                   "--l", "6", "--out",
+                                   str(tmp_path / "x.obj")])
+        assert res.exit_code == 1
+        assert "no real irrep p=2" in res.output
+        assert "[1, 4]" in res.output
+
+    def test_block_matches_full_set(self, runner, atlas, sets45, tmp_path):
+        # mesh builds only its (p, l); the exported function is bit-identical
+        # to the same block of a whole basis set at the same seed
+        group, _ = atlas["I"]
+        real, bs = sets45["I"]
+        for b in build_basis(real[5], group, 45):
+            assert np.array_equal(b.H, bs.get(5, 45, b.n).H)
+        out = tmp_path / "cli.obj"
+        res = runner.invoke(main, ["mesh", "--group", "I", "--p", "5",
+                                   "--l", "45", "--n", "2", "--j", "3",
+                                   "--subdiv", "2", "--seed", "7",
+                                   "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        verts, faces, radii = pio.displaced_mesh(bs.get(5, 45, 2), component=3,
+                                                 subdivisions=2)
+        ref = tmp_path / "ref.obj"
+        pio.write_obj(ref, verts, faces, radii)
+        assert out.read_bytes() == ref.read_bytes()
 
     def test_component_out_of_range(self, runner, tmp_path):
         res = runner.invoke(main, ["mesh", "--group", "O", "--p", "1",

@@ -5,6 +5,7 @@ from polybasis.wigner import (EulerAngles, L_MAX_SUPPORTED, eval_complex_sh,
                               eval_real_sh, eval_sh_vector,
                               euler_from_rotation, real_rotation_M,
                               real_rotation_M_cases, real_sh_transform,
+                              real_wigner_stack,
                               rotation_from_euler, spherical_from_cartesian,
                               wigner_D, wigner_D_stack, wigner_d_factorial_sum,
                               wigner_d_small)
@@ -177,6 +178,18 @@ class TestRealTransform:
                 assert np.abs(w.imag).max() < 1e-12
                 wr = w.real
                 assert np.abs(wr.T @ wr - np.eye(2 * l + 1)).max() < 1e-12
+
+    @pytest.mark.parametrize("l", [0, 1, 6, 45])
+    def test_real_stack_matches_dense_product(self, atlas, l):
+        # the entry-wise U^H D U equals the dense product
+        group, _ = atlas["I"]
+        u = real_sh_transform(l)
+        dense = u.conj().T @ wigner_D_stack(l, group.elements) @ u
+        w = real_wigner_stack(l, group.elements)
+        assert w.dtype.kind == "f"
+        assert np.abs(w - dense).max() < 1e-13
+        assert np.abs(np.einsum("gba,gbc->gac", w, w)
+                      - np.eye(2 * l + 1)).max() < 1e-12
 
     def test_transformation_law_real(self):
         rng = np.random.default_rng(17)
