@@ -8,11 +8,12 @@ and the recovery of the irrep matrices from the functions themselves.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .basis import BasisSet, CoeffMatrix, assemble_full_H
+from .basis import BasisSet, CoeffMatrix
 from .groups import Group, irrep_multiplicity
 from .realify import RealIrrep
 from . import wigner
@@ -53,11 +54,17 @@ def quadrature_grid(degree: int) -> QuadratureGrid:
                           weights=wt.ravel().copy(), degree=degree)
 
 
+Location = dict[str, int]          # where a residual sits: p, l, n, g as apply
+Worst = tuple[float, Location]     # a check's worst residual and its location
+NO_RESIDUAL: Worst = (0.0, {})
+
+
 @dataclass
 class CheckResult:
     name: str
     max_residual: float
     tolerance: float
+    location: Location = field(default_factory=dict)
 
     @property
     def passed(self) -> bool:
@@ -65,7 +72,8 @@ class CheckResult:
 
     def to_dict(self) -> dict:
         return {"name": self.name, "max_residual": self.max_residual,
-                "tolerance": self.tolerance, "passed": self.passed}
+                "tolerance": self.tolerance, "passed": self.passed,
+                "location": dict(self.location)}
 
 
 @dataclass
@@ -77,8 +85,10 @@ class VerificationReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
 
-    def add(self, name: str, residual: float, tol: float) -> CheckResult:
-        res = CheckResult(name=name, max_residual=float(residual), tolerance=tol)
+    def add(self, name: str, residual: float, tol: float,
+            location: Location | None = None) -> CheckResult:
+        res = CheckResult(name=name, max_residual=float(residual), tolerance=tol,
+                          location=dict(location or {}))
         self.checks.append(res)
         return res
 
@@ -87,103 +97,150 @@ class VerificationReport:
                 "checks": [c.to_dict() for c in self.checks]}
 
     def table(self) -> str:
-        lines = [f"{'check':44s} {'residual':>12s} {'tol':>9s}  result"]
+        lines = [f"{'check':44s} {'residual':>12s} {'tol':>9s}  result  worst at"]
         for c in self.checks:
+            where = ", ".join(f"{k}={v}" for k, v in c.location.items())
             lines.append(f"{c.name:44s} {c.max_residual:12.3e} {c.tolerance:9.0e}  "
-                         + ("pass" if c.passed else "FAIL"))
+                         f"{'pass' if c.passed else 'FAIL'}    {where}".rstrip())
         return "\n".join(lines)
 
 
-def _eval_rows(h: np.ndarray, l: int, theta: np.ndarray, phi: np.ndarray
-               ) -> np.ndarray:
+def _worst(*results: Worst) -> Worst:
+    return max(results, key=lambda r: r[0])
+
+
+def _peak(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
+    """Largest |entry| of a and its index; NaN counts as infinite, so a
+    non-finite value cannot hide behind a finite one."""
+    r = np.abs(a)
+    i = np.unravel_index(np.argmax(r), r.shape)     # argmax stops at a NaN
+    v = float(r[i])
+    return (np.inf if np.isnan(v) else v), i
+
+
+def _stack(blocks: list[CoeffMatrix]) -> tuple[np.ndarray, list[CoeffMatrix]]:
+    """Stacked H of the blocks of one degree and the block of every row."""
+    return (np.vstack([b.H for b in blocks]),
+            [b for b in blocks for _ in range(b.dim)])
+
+
+def _at(b: CoeffMatrix, **more: int) -> Location:
+    return {"p": b.p, "l": b.l, "n": b.n, **more}
+
+
+def _block_gamma(blocks: list[CoeffMatrix], real_irreps: dict[int, RealIrrep],
+                 g: int) -> np.ndarray:
+    """Block-diagonal Gamma_r(g) over the stacked rows of the blocks."""
+    rows = sum(b.dim for b in blocks)
+    out = np.zeros((rows, rows))
+    i = 0
+    for b in blocks:
+        out[i:i + b.dim, i:i + b.dim] = real_irreps[b.p].matrices[g]
+        i += b.dim
+    return out
+
+
+def sample_angles(nodes: np.ndarray, group: Group
+                  ) -> tuple[tuple[np.ndarray, np.ndarray],
+                             list[tuple[np.ndarray, np.ndarray]]]:
+    """Spherical angles of the sample nodes x and, per g, of R_g^-1 x."""
+    return (wigner.spherical_from_cartesian(nodes),
+            [wigner.spherical_from_cartesian(nodes @ r)    # R^-1 x, row-wise
+             for r in group.elements])
+
+
+def sample_harmonics(l: int, angles
+                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Y^l at the sample nodes and, one evaluation per g, at R_g^-1 x, from
+    the angles of sample_angles; yields (g, Y^l(x), Y^l(R_g^-1 x)), so only
+    one rotated evaluation is held at a time."""
+    (theta, phi), rotated = angles
     y = wigner.eval_sh_vector(l, theta, phi)
-    return np.tensordot(h, y, axes=(1, 0))
+    for g, (theta_g, phi_g) in enumerate(rotated):
+        yield g, y, wigner.eval_sh_vector(l, theta_g, phi_g)
 
 
-def check_transformation(basis: CoeffMatrix, real_irrep: RealIrrep,
-                         group: Group, nodes: np.ndarray) -> float:
-    """Max over g and x of |I(R_g^-1 x) - Gamma_r(g)^T I(x)|."""
-    theta, phi = wigner.spherical_from_cartesian(nodes)
-    vals = _eval_rows(basis.H, basis.l, theta, phi)        # (d_p, n)
-    worst = 0.0
-    for gi in range(group.order):
-        rot = nodes @ group.elements[gi]                    # R^-1 x, row-wise
-        tr, pr = wigner.spherical_from_cartesian(rot)
-        lhs = _eval_rows(basis.H, basis.l, tr, pr)
-        rhs = real_irrep.matrices[gi].T @ vals
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+def check_orthonormality(blocks: list[CoeffMatrix], y: np.ndarray,
+                         weights: np.ndarray) -> Worst:
+    """Gram of all scalar components of one degree, by quadrature (Y^l at
+    the grid nodes, y, with the grid weights) and in coefficient space;
+    the worst deviation from identity and between the two Grams."""
+    h, owner = _stack(blocks)
+    gram_coeff = h @ h.conj().T
+    vals = h @ y
+    gram_quad = (vals * weights) @ vals.conj().T
+    eye = np.eye(len(h))
+    value, (_, i, _) = _peak(np.stack([gram_coeff - eye, gram_quad - eye,
+                                       gram_quad - gram_coeff]))
+    return value, _at(owner[i])
+
+
+def check_cross_degree_orthogonality(
+        degrees: list[tuple[list[CoeffMatrix], np.ndarray]],
+        weights: np.ndarray) -> Worst:
+    """Components of different degrees must integrate to zero; degrees
+    holds (blocks, Y^l at the grid nodes) per degree, and every pair of
+    them is checked.  The location names both blocks (primed: the higher
+    degree)."""
+    vals = []
+    for blocks, y in degrees:
+        h, owner = _stack(blocks)
+        vals.append((owner, h @ y))
+    worst = NO_RESIDUAL
+    for k, (owner_a, va) in enumerate(vals):
+        for owner_b, vb in vals[k + 1:]:
+            value, (i, j) = _peak((va * weights) @ vb.conj().T)
+            b = owner_b[j]
+            worst = _worst(worst, (value, {**_at(owner_a[i]), "p'": b.p,
+                                           "l'": b.l, "n'": b.n}))
     return worst
 
 
-def check_orthonormality(basis_set: BasisSet, grid: QuadratureGrid) -> float:
-    """Per-degree Gram of all scalar components, by quadrature and in
-    coefficient space; returns the worst deviation from identity (and
-    between the two Grams)."""
-    worst = 0.0
-    for l in range(basis_set.l_max + 1):
-        blocks = sorted(basis_set.select(l=l), key=lambda b: (b.p, b.n))
-        if not blocks:
-            continue
-        h = np.vstack([b.H for b in blocks])
-        gram_coeff = h @ h.conj().T
-        vals = _eval_rows(h, l, grid.theta, grid.phi)
-        gram_quad = (vals * grid.weights) @ vals.conj().T
-        eye = np.eye(len(h))
-        worst = max(worst,
-                    float(np.abs(gram_coeff - eye).max()),
-                    float(np.abs(gram_quad - eye).max()),
-                    float(np.abs(gram_quad - gram_coeff).max()))
-    return worst
+def check_realness(blocks: list[CoeffMatrix], y: np.ndarray) -> Worst:
+    """Max imaginary part of any component of one degree at any node
+    (y is Y^l at the nodes)."""
+    h, owner = _stack(blocks)
+    value, (i, _) = _peak((h @ y).imag)
+    return value, _at(owner[i])
 
 
-def check_cross_degree_orthogonality(basis_set: BasisSet, grid: QuadratureGrid,
-                                     l_pairs: list[tuple[int, int]]) -> float:
-    """Components of different degrees must integrate to zero."""
-    worst = 0.0
-    for la, lb in l_pairs:
-        ba = basis_set.select(l=la)
-        bb = basis_set.select(l=lb)
-        if not ba or not bb:
-            continue
-        va = np.vstack([_eval_rows(b.H, la, grid.theta, grid.phi) for b in ba])
-        vb = np.vstack([_eval_rows(b.H, lb, grid.theta, grid.phi) for b in bb])
-        worst = max(worst, float(np.abs((va * grid.weights) @ vb.conj().T).max()))
-    return worst
+def check_transformation(blocks: list[CoeffMatrix],
+                         real_irreps: dict[int, RealIrrep], g: int,
+                         y: np.ndarray, y_g: np.ndarray) -> Worst:
+    """Max over the blocks of one degree and the nodes x of
+    |I(R_g^-1 x) - Gamma_r(g)^T I(x)| at one group element g, from Y^l
+    at the nodes (y) and at R_g^-1 x (y_g)."""
+    h, owner = _stack(blocks)
+    value, (i, _) = _peak(h @ y_g - _block_gamma(blocks, real_irreps, g).T
+                          @ (h @ y))
+    return value, _at(owner[i], g=g)
 
 
-def check_realness(basis_set: BasisSet, grid: QuadratureGrid) -> float:
-    """Max imaginary part of any basis component at any node."""
-    worst = 0.0
-    for b in basis_set.blocks:
-        y = wigner.eval_sh_vector(b.l, grid.theta, grid.phi)
-        vals = np.tensordot(b.H, y, axes=(1, 0))
-        worst = max(worst, float(np.abs(vals.imag).max()))
-    return worst
-
-
-def check_irrep_recovery(basis: CoeffMatrix, real_irrep: RealIrrep,
-                        group: Group, nodes: np.ndarray
-                        ) -> tuple[float, np.ndarray]:
-    """Recover Gamma(g) from sampled P(g) I = Gamma^T I by least squares;
-    returns (max residual vs Gamma_r including orthogonality defect,
-    recovered stack)."""
-    theta, phi = wigner.spherical_from_cartesian(nodes)
-    vals = _eval_rows(basis.H, basis.l, theta, phi).real    # (d_p, n)
-    pinv = np.linalg.pinv(vals)
-    worst = 0.0
-    recovered = np.empty_like(real_irrep.matrices)
-    eye = np.eye(basis.dim)
-    for gi in range(group.order):
-        rot = nodes @ group.elements[gi]
-        tr, pr = wigner.spherical_from_cartesian(rot)
-        lhs = _eval_rows(basis.H, basis.l, tr, pr).real
-        gamma_t = lhs @ pinv
-        gamma = gamma_t.T
-        recovered[gi] = gamma
-        worst = max(worst,
-                    float(np.abs(gamma - real_irrep.matrices[gi]).max()),
-                    float(np.abs(gamma.T @ gamma - eye).max()))
-    return worst, recovered
+def check_irrep_recovery(blocks: list[CoeffMatrix],
+                         real_irreps: dict[int, RealIrrep], g: int,
+                         y: np.ndarray, y_g: np.ndarray) -> Worst:
+    """Recover Gamma(g) at one group element g, for every block of one
+    degree with d_p > 1, from the sampled P(g) I = Gamma^T I by least
+    squares (y and y_g as for check_transformation); max residual vs
+    Gamma_r, including the orthogonality defect of the recovered matrix."""
+    blocks = [b for b in blocks if b.dim > 1]
+    if not blocks:
+        return NO_RESIDUAL
+    h, owner = _stack(blocks)
+    ids = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])
+    diagonal = ids[:, None] == ids[None, :]
+    vals = (h @ y).real
+    lhs = (h @ y_g).real
+    # per block, the normal equations Gamma (V V^T) = V lhs^T of
+    # lhs = Gamma^T V; one block-diagonal solve covers every block
+    try:
+        gamma = np.linalg.solve(np.where(diagonal, vals @ vals.T, 0.0),
+                                np.where(diagonal, vals @ lhs.T, 0.0))
+    except np.linalg.LinAlgError:       # rows dependent at the nodes
+        return np.inf, {"l": blocks[0].l, "g": g}
+    value, (_, i, _) = _peak(np.stack([gamma - _block_gamma(blocks, real_irreps, g),
+                                       gamma.T @ gamma - np.eye(len(h))]))
+    return value, _at(owner[i], g=g)
 
 
 def random_sphere_nodes(n: int, seed: int = 0) -> np.ndarray:
@@ -196,56 +253,67 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
                      real_irreps: dict[int, RealIrrep],
                      transform_l_cap: int = 10,
                      n_sample_nodes: int = 200) -> VerificationReport:
-    """Run the full check battery and assemble an ordered report."""
+    """Run the full check battery in one pass over degrees and assemble an
+    ordered report.
+
+    Per degree, Y^l is evaluated once on the quadrature grid for the Gram,
+    realness and cross-degree checks; up to transform_l_cap, also once at
+    the sample nodes and once per g at R_g^-1 x, shared by every block in
+    the transformation-law and irrep-recovery checks.  Cross-degree pairs
+    and irrep recovery cover every degree up to transform_l_cap.
+    """
     report = VerificationReport(group_name=basis_set.group_name)
     l_max = basis_set.l_max
+    cap = min(l_max, transform_l_cap)
     grid = quadrature_grid(2 * l_max + 2)
-
-    report.add("orthonormality_gram_per_l", check_orthonormality(basis_set, grid),
-               CONSTRUCTION_TOL)
-    pairs = [(la, lb) for la in range(min(l_max, 6) + 1)
-             for lb in range(la + 1, min(l_max, 6) + 1)]
-    if pairs:
-        report.add("cross_degree_orthogonality",
-                   check_cross_degree_orthogonality(basis_set, grid, pairs),
-                   CONSTRUCTION_TOL)
-    report.add("pointwise_realness", check_realness(basis_set, grid),
-               CONSTRUCTION_TOL)
-
     nodes = random_sphere_nodes(n_sample_nodes, seed=basis_set.seed + 1)
-    worst_t = 0.0
-    for b in basis_set.blocks:
-        if b.l > transform_l_cap:
-            continue
-        worst_t = max(worst_t, check_transformation(b, real_irreps[b.p],
-                                                    group, nodes))
-    report.add("transformation_law", worst_t, END_TO_END_TOL)
+    angles = sample_angles(nodes, group)
+    complete_o_i = basis_set.group_name in ("O", "I")
 
-    worst_p = 0.0
-    for b in basis_set.blocks:
-        if b.l > min(transform_l_cap, 6) or b.dim == 1:
-            continue
-        resid, _ = check_irrep_recovery(b, real_irreps[b.p], group, nodes)
-        worst_p = max(worst_p, resid)
-    report.add("irrep_recovery_from_functions", worst_p, END_TO_END_TOL)
-
-    # Completeness per degree for O and I; for T, the exact row count of
-    # the real subspaces, 2l+1 - 2 N_{2;l} (the complex pair carries the rest).
-    worst_c = 0.0
-    worst_rows = 0
+    ortho = real = trans = recov = complete = NO_RESIDUAL
+    held = []                  # (blocks, Y^l on the grid) for l <= cap
     for l in range(l_max + 1):
-        rows = sum(b.dim for b in basis_set.select(l=l))
-        if basis_set.group_name in ("O", "I"):
-            worst_c = max(worst_c, abs(rows - (2 * l + 1)))
-            h = assemble_full_H(basis_set, l)
-            worst_c = max(worst_c, float(np.abs(h @ h.conj().T - np.eye(len(h))).max()))
+        blocks = sorted(basis_set.select(l=l), key=lambda b: (b.p, b.n))
+        rows = sum(b.dim for b in blocks)
+        # Completeness per degree for O and I; for T, the exact row count of
+        # the real subspaces, 2l+1 - 2 N_{2;l} (the complex pair carries the
+        # rest).  Row counts are integers: any mismatch is at least 1.
+        if complete_o_i:
+            complete = _worst(complete, (abs(rows - (2 * l + 1)), {"l": l}))
         else:
             want = sum(r.dim * irrep_multiplicity(group, r, l)
                        for r in real_irreps.values())
-            worst_rows = max(worst_rows, abs(rows - want))
-    if basis_set.group_name in ("O", "I"):
-        report.add("completeness_full_H_unitary", worst_c, CONSTRUCTION_TOL)
-    else:
-        # Row counts are integers: any mismatch is at least 1.
-        report.add("tetrahedral_row_deficit", worst_rows, 0.5)
+            complete = _worst(complete, (abs(rows - want), {"l": l}))
+        if not blocks:
+            continue
+        if complete_o_i:
+            h, _ = _stack(blocks)
+            complete = _worst(complete, (_peak(h @ h.conj().T - np.eye(rows))[0],
+                                         {"l": l}))
+
+        y = wigner.eval_sh_vector(l, grid.theta, grid.phi)
+        ortho = _worst(ortho, check_orthonormality(blocks, y, grid.weights))
+        real = _worst(real, check_realness(blocks, y))
+        if l > cap:
+            continue
+        held.append((blocks, y))
+        for g, y_nodes, y_g in sample_harmonics(l, angles):
+            trans = _worst(trans, check_transformation(blocks, real_irreps, g,
+                                                       y_nodes, y_g))
+            recov = _worst(recov, check_irrep_recovery(blocks, real_irreps, g,
+                                                       y_nodes, y_g))
+
+    found = [("orthonormality_gram_per_l", ortho, CONSTRUCTION_TOL)]
+    if cap >= 1:
+        found.append(("cross_degree_orthogonality",
+                      check_cross_degree_orthogonality(held, grid.weights),
+                      CONSTRUCTION_TOL))
+    found += [("pointwise_realness", real, CONSTRUCTION_TOL),
+              ("transformation_law", trans, END_TO_END_TOL),
+              ("irrep_recovery_from_functions", recov, END_TO_END_TOL),
+              ("completeness_full_H_unitary", complete, CONSTRUCTION_TOL)
+              if complete_o_i else
+              ("tetrahedral_row_deficit", complete, 0.5)]
+    for name, (residual, location), tol in found:
+        report.add(name, residual, tol, location)
     return report

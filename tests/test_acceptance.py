@@ -11,7 +11,8 @@ from polybasis.groups import irrep_multiplicity
 from polybasis.realify import frobenius_schur, solve_all
 from polybasis.verify import (check_orthonormality, check_irrep_recovery,
                               check_transformation, quadrature_grid,
-                              random_sphere_nodes)
+                              random_sphere_nodes, sample_angles,
+                              sample_harmonics)
 from polybasis import io as pio
 from polybasis import wigner
 
@@ -121,9 +122,12 @@ def test_criterion_05_transformation_law(atlas, real_irreps, basis_sets):
     for name in "TOI":
         group, _ = atlas[name]
         _, real = real_irreps[name]
-        for b in basis_sets[name].blocks:        # fixture holds l <= 10
-            resid = check_transformation(b, real[b.p], group, nodes)
-            assert resid < 1e-8, (b.p, b.l, b.n, resid)
+        angles = sample_angles(nodes, group)
+        for l in range(basis_sets[name].l_max + 1):    # fixture holds l <= 10
+            for g, y, y_g in sample_harmonics(l, angles):
+                for b in basis_sets[name].select(l=l):
+                    resid, where = check_transformation([b], real, g, y, y_g)
+                    assert resid < 1e-8, (where, resid)
 
 
 @pytest.mark.parametrize("name", "TOI")
@@ -146,7 +150,11 @@ def test_criterion_05_transformation_law_coefficients_l40_45(atlas, sets45, name
 def test_criterion_06_orthonormality(sets15):
     grid = quadrature_grid(2 * 15 + 2)
     for name in "TOI":
-        assert check_orthonormality(sets15[name], grid) < 1e-10
+        for l in range(16):
+            y = wigner.eval_sh_vector(l, grid.theta, grid.phi)
+            resid, where = check_orthonormality(sets15[name].select(l=l), y,
+                                                grid.weights)
+            assert resid < 1e-10, (name, where, resid)
 
 
 def test_criterion_07_multiplicity_oracle_agreement(atlas, real_irreps, sets15):
@@ -171,16 +179,19 @@ def test_criterion_08_irrep_recovery(atlas, real_irreps, basis_sets, name, p):
     group, _ = atlas[name]
     _, real = real_irreps[name]
     nodes = random_sphere_nodes(200, seed=8)
+    angles = sample_angles(nodes, group)
     found = False
-    for b in basis_sets[name].select(p=p):
-        if b.l > 6:
+    for l in range(basis_sets[name].l_max + 1):
+        blocks = basis_sets[name].select(p=p, l=l)
+        if not blocks:
             continue
         found = True
-        resid, recovered = check_irrep_recovery(b, real[p], group, nodes)
-        assert resid < 1e-8, (b.l, b.n, resid)
-        eye = np.eye(b.dim)
-        for g in recovered:
-            assert np.abs(g.T @ g - eye).max() < 1e-8
+        # the residual covers |Gamma - Gamma_r| and |Gamma^T Gamma - 1|
+        # of every recovered Gamma(g)
+        for g, y, y_g in sample_harmonics(l, angles):
+            for b in blocks:
+                resid, where = check_irrep_recovery([b], real, g, y, y_g)
+                assert resid < 1e-8, (where, resid)
     assert found
 
 

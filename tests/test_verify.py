@@ -7,6 +7,7 @@ from polybasis.verify import (CheckResult, VerificationReport,
                               check_orthonormality, check_irrep_recovery,
                               check_realness, check_transformation,
                               quadrature_grid, random_sphere_nodes,
+                              sample_angles, sample_harmonics,
                               verify_basis_set)
 from polybasis import wigner
 
@@ -35,66 +36,118 @@ class TestQuadrature:
         assert np.abs((y2 * grid.weights) @ y5.conj().T).max() < 1e-13
 
 
+def grid_harmonics(bs, l):
+    """Blocks of degree l and Y^l on the set's verification grid."""
+    grid = quadrature_grid(2 * bs.l_max + 2)
+    return bs.select(l=l), wigner.eval_sh_vector(l, grid.theta, grid.phi), grid
+
+
 class TestChecks:
     def test_orthonormality_clean(self, atlas, basis_sets):
         bs = basis_sets["I"]
-        grid = quadrature_grid(2 * bs.l_max + 2)
-        assert check_orthonormality(bs, grid) < 1e-10
+        for l in range(bs.l_max + 1):
+            blocks, y, grid = grid_harmonics(bs, l)
+            resid, where = check_orthonormality(blocks, y, grid.weights)
+            assert resid < 1e-10 and where["l"] == l
 
     def test_orthonormality_detects_scaling(self, basis_sets):
         bs = basis_sets["O"]
-        bad = BasisSet(group_name="O", l_max=bs.l_max, seed=bs.seed,
-                       blocks=[CoeffMatrix(p=b.p, l=b.l, n=b.n, H=1.01 * b.H)
-                               for b in bs.blocks])
-        grid = quadrature_grid(2 * bs.l_max + 2)
-        assert check_orthonormality(bad, grid) > 1e-3
+        for l in range(bs.l_max + 1):
+            blocks, y, grid = grid_harmonics(bs, l)
+            bad = [CoeffMatrix(p=b.p, l=b.l, n=b.n, H=1.01 * b.H)
+                   for b in blocks]
+            assert check_orthonormality(bad, y, grid.weights)[0] > 1e-3
 
     def test_cross_degree_clean(self, basis_sets):
         bs = basis_sets["T"]
-        grid = quadrature_grid(2 * bs.l_max + 2)
-        pairs = [(0, 4), (3, 6), (4, 6)]
-        assert check_cross_degree_orthogonality(bs, grid, pairs) < 1e-11
+        degrees = [grid_harmonics(bs, l) for l in (0, 3, 4, 6)]
+        grid = degrees[0][2]
+        resid, where = check_cross_degree_orthogonality(
+            [(blocks, y) for blocks, y, _ in degrees], grid.weights)
+        assert resid < 1e-11
+        assert where["l"] < where["l'"]
+
+    def test_cross_degree_detects_overlap(self, basis_sets):
+        # the same functions listed under two degrees overlap with themselves
+        blocks, y, grid = grid_harmonics(basis_sets["O"], 6)
+        resid, where = check_cross_degree_orthogonality(
+            [(blocks, y), (blocks, y)], grid.weights)
+        assert resid == pytest.approx(1.0, abs=1e-10)
+        assert where["l"] == where["l'"] == 6
 
     def test_realness_clean_and_detects_corruption(self, basis_sets):
         bs = basis_sets["O"]
-        grid = quadrature_grid(2 * bs.l_max + 2)
-        assert check_realness(bs, grid) < 1e-11
+        blocks, y, _ = grid_harmonics(bs, 1)
+        assert check_realness(blocks, y)[0] < 1e-11
         b = bs.get(4, 1, 1)
         h = b.H.copy()
         h[0, 0] += 0.05j
-        bad = BasisSet(group_name="O", l_max=1,
-                       seed=0, blocks=[CoeffMatrix(p=b.p, l=b.l, n=b.n, H=h)])
-        assert check_realness(bad, grid) > 1e-3
+        resid, where = check_realness([CoeffMatrix(p=b.p, l=b.l, n=b.n, H=h)], y)
+        assert resid > 1e-3
+        assert where == {"p": 4, "l": 1, "n": 1}
 
     def test_transformation_clean(self, atlas, real_irreps, basis_sets):
         group, _ = atlas["I"]
         _, real = real_irreps["I"]
         nodes = random_sphere_nodes(100, seed=2)
-        for b in basis_sets["I"].select(l=6):
-            assert check_transformation(b, real[b.p], group, nodes) < 1e-11
+        blocks = basis_sets["I"].select(l=6)
+        for g, y, y_g in sample_harmonics(6, sample_angles(nodes, group)):
+            for b in blocks:
+                assert check_transformation([b], real, g, y, y_g)[0] < 1e-11
+            assert check_transformation(blocks, real, g, y, y_g)[0] < 1e-11
 
     def test_transformation_detects_wrong_irrep(self, atlas, real_irreps, basis_sets):
         group, _ = atlas["I"]
         _, real = real_irreps["I"]
         nodes = random_sphere_nodes(100, seed=2)
         b4 = basis_sets["I"].get(4, 4, 1)
-        assert check_transformation(b4, real[4], group, nodes) < 1e-11
         # feed the 4-D function the wrong 4x4 matrices: identity stack
         from polybasis.realify import RealIrrep
         fake = RealIrrep(p=4, S=np.eye(4, dtype=complex),
                          matrices=np.broadcast_to(np.eye(4),
                                                   (group.order, 4, 4)).copy(),
                          seed=0)
-        assert check_transformation(b4, fake, group, nodes) > 1e-2
+        worst = 0.0
+        for g, y, y_g in sample_harmonics(4, sample_angles(nodes, group)):
+            assert check_transformation([b4], real, g, y, y_g)[0] < 1e-11
+            resid, where = check_transformation([b4], {4: fake}, g, y, y_g)
+            assert where == {"p": 4, "l": 4, "n": 1, "g": g}
+            worst = max(worst, resid)
+        assert worst > 1e-2
 
     def test_irrep_recovery_matches_real_irrep(self, atlas, real_irreps, basis_sets):
         group, _ = atlas["O"]
         _, real = real_irreps["O"]
         nodes = random_sphere_nodes(150, seed=9)
         b = basis_sets["O"].get(5, 3, 1)
-        resid, recovered = check_irrep_recovery(b, real[5], group, nodes)
-        assert resid < 1e-9
-        assert np.abs(recovered - real[5].matrices).max() < 1e-9
+        worst = 0.0
+        for g, y, y_g in sample_harmonics(3, sample_angles(nodes, group)):
+            assert check_irrep_recovery([b], real, g, y, y_g)[0] < 1e-9
+            # O's p = 4 and p = 5 are both 3-dimensional; the wrong one is found
+            resid, where = check_irrep_recovery([b], {5: real[4]}, g, y, y_g)
+            assert (where["p"], where["l"], where["g"]) == (5, 3, g)
+            worst = max(worst, resid)
+        assert worst > 1e-2
+
+    def test_one_evaluation_per_degree_and_group_element(
+            self, atlas, real_irreps, basis_sets, monkeypatch):
+        calls = []
+        evaluate = wigner.eval_sh_vector
+
+        def counted(l, theta, phi):
+            calls.append(l)
+            return evaluate(l, theta, phi)
+
+        monkeypatch.setattr(wigner, "eval_sh_vector", counted)
+        for name in "TOI":
+            group, _ = atlas[name]
+            _, real = real_irreps[name]
+            bs = basis_sets[name]
+            calls.clear()
+            report = verify_basis_set(bs, group, real, transform_l_cap=10)
+            assert report.passed, report.table()
+            assert bs.l_max == 10
+            assert len(calls) <= (bs.l_max + 1) * (group.order + 2), name
 
 
 class TestReport:
@@ -108,10 +161,14 @@ class TestReport:
         assert rep.passed
         rep.add("b", 1.0, 1e-10)
         assert not rep.passed
+        rep.add("c", 2.0, 1e-10, {"p": 4, "l": 3, "n": 1, "g": 5})
         d = rep.to_dict()
         assert d["group"] == "O" and d["passed"] is False
-        assert [c["name"] for c in d["checks"]] == ["a", "b"]
+        assert [c["name"] for c in d["checks"]] == ["a", "b", "c"]
+        assert d["checks"][0]["location"] == {}
+        assert d["checks"][2]["location"] == {"p": 4, "l": 3, "n": 1, "g": 5}
         assert "FAIL" in rep.table()
+        assert rep.table().splitlines()[-1].endswith("FAIL    p=4, l=3, n=1, g=5")
 
     @pytest.mark.parametrize("name", "TOI")
     def test_full_battery_passes(self, atlas, real_irreps, basis_sets, name):
@@ -138,8 +195,70 @@ class TestReport:
         report = verify_basis_set(bad, group, real, transform_l_cap=6,
                                   n_sample_nodes=120)
         assert not report.passed
-        failing = {c.name for c in report.checks if not c.passed}
+        failing = {c.name: c for c in report.checks if not c.passed}
         assert "transformation_law" in failing
+        where = failing["transformation_law"].location
+        assert (where["p"], where["l"], where["n"]) == (4, 3, 1), report.table()
+        assert "p=4, l=3, n=1, g=" in report.table()
+
+    def test_irrep_recovery_fires_above_l6(self, atlas, real_irreps,
+                                           basis_sets):
+        group, _ = atlas["O"]
+        _, real = real_irreps["O"]
+        bs = basis_sets["O"]
+        target = bs.select(p=4, l=8)[0]
+        h = target.H.copy()
+        h[[0, 1]] = h[[1, 0]]
+        bad = BasisSet(group_name="O", l_max=bs.l_max, seed=bs.seed,
+                       blocks=[CoeffMatrix(p=b.p, l=b.l, n=b.n, H=h)
+                               if b is target else b for b in bs.blocks])
+        report = verify_basis_set(bad, group, real, transform_l_cap=10)
+        recovery = {c.name: c for c in report.checks}["irrep_recovery_from_functions"]
+        assert not recovery.passed, report.table()
+        assert recovery.location["l"] == 8 and recovery.location["p"] == 4
+
+    def test_non_finite_coefficient_fails(self, atlas, real_irreps, basis_sets):
+        group, _ = atlas["T"]
+        _, real = real_irreps["T"]
+        bs = basis_sets["T"]
+        target = bs.get(1, 0, 1)
+        h = target.H.copy()
+        h[0, 0] = np.nan
+        bad = BasisSet(group_name="T", l_max=bs.l_max, seed=bs.seed,
+                       blocks=[CoeffMatrix(p=1, l=0, n=1, H=h) if b is target
+                               else b for b in bs.blocks])
+        report = verify_basis_set(bad, group, real, transform_l_cap=2)
+        failing = {c.name: c.max_residual for c in report.checks
+                   if not c.passed}
+        assert failing["orthonormality_gram_per_l"] == np.inf, report.table()
+
+    def test_zeroed_block_is_reported(self, atlas, real_irreps, basis_sets):
+        # rows that vanish at the nodes leave Gamma unrecoverable: the
+        # battery reports it instead of raising
+        group, _ = atlas["O"]
+        _, real = real_irreps["O"]
+        bs = basis_sets["O"]
+        target = bs.get(4, 3, 1)
+        bad = BasisSet(group_name="O", l_max=bs.l_max, seed=bs.seed,
+                       blocks=[CoeffMatrix(p=4, l=3, n=1, H=0 * b.H)
+                               if b is target else b for b in bs.blocks])
+        report = verify_basis_set(bad, group, real, transform_l_cap=4)
+        checks = {c.name: c for c in report.checks}
+        assert checks["irrep_recovery_from_functions"].max_residual == np.inf
+        assert checks["irrep_recovery_from_functions"].location["l"] == 3
+        assert checks["orthonormality_gram_per_l"].location == {
+            "p": 4, "l": 3, "n": 1}
+
+    @pytest.mark.parametrize("name", "TOI")
+    def test_full_battery_passes_l45_cli_caps(self, atlas, sets45, name):
+        """The battery as the CLI runs it at the top degree (transformation
+        law and irrep recovery to l = 10, 200 sample nodes)."""
+        group, _ = atlas[name]
+        real, bs = sets45[name]
+        report = verify_basis_set(bs, group, real,
+                                  transform_l_cap=min(bs.l_max, 10))
+        assert bs.l_max == 45
+        assert report.passed, report.table()
 
     def test_battery_flags_missing_tetrahedral_multiplet(self, atlas,
                                                         real_irreps,
