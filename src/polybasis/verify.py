@@ -8,7 +8,6 @@ and the recovery of the irrep matrices from the functions themselves.
 
 from __future__ import annotations
 
-from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -118,10 +117,18 @@ def _peak(a: np.ndarray) -> tuple[float, tuple[int, ...]]:
     return (np.inf if np.isnan(v) else v), i
 
 
-def _stack(blocks: list[CoeffMatrix]) -> tuple[np.ndarray, list[CoeffMatrix]]:
-    """Stacked H of the blocks of one degree and the block of every row."""
-    return (np.vstack([b.H for b in blocks]),
-            [b for b in blocks for _ in range(b.dim)])
+def _stack(blocks: list[CoeffMatrix]) -> np.ndarray:
+    """Stacked H of the blocks of one degree, in order."""
+    return np.vstack([b.H for b in blocks])
+
+
+def _owner(blocks: list[CoeffMatrix], row: int) -> CoeffMatrix:
+    """The block holding the given row of the stacked blocks."""
+    for b in blocks:
+        if row < b.dim:
+            return b
+        row -= b.dim
+    raise IndexError(row)
 
 
 def _at(b: CoeffMatrix, **more: int) -> Location:
@@ -149,59 +156,43 @@ def sample_angles(nodes: np.ndarray, group: Group
              for r in group.elements])
 
 
-def sample_harmonics(l: int, angles
-                     ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Y^l at the sample nodes and, one evaluation per g, at R_g^-1 x, from
-    the angles of sample_angles; yields (g, Y^l(x), Y^l(R_g^-1 x)), so only
-    one rotated evaluation is held at a time."""
-    (theta, phi), rotated = angles
-    y = wigner.eval_sh_vector(l, theta, phi)
-    for g, (theta_g, phi_g) in enumerate(rotated):
-        yield g, y, wigner.eval_sh_vector(l, theta_g, phi_g)
-
-
-def check_orthonormality(blocks: list[CoeffMatrix], y: np.ndarray,
+def check_orthonormality(blocks: list[CoeffMatrix], values: np.ndarray,
                          weights: np.ndarray) -> Worst:
-    """Gram of all scalar components of one degree, by quadrature (Y^l at
-    the grid nodes, y, with the grid weights) and in coefficient space;
-    the worst deviation from identity and between the two Grams."""
-    h, owner = _stack(blocks)
+    """Gram of all scalar components of one degree, by quadrature (values:
+    the components at the grid nodes, H^l Y^l with the rows of the blocks
+    in order; weights: the grid weights) and in coefficient space; the
+    worst deviation from identity and between the two Grams."""
+    h = _stack(blocks)
     gram_coeff = h @ h.conj().T
-    vals = h @ y
-    gram_quad = (vals * weights) @ vals.conj().T
+    gram_quad = (values * weights) @ values.conj().T
     eye = np.eye(len(h))
     value, (_, i, _) = _peak(np.stack([gram_coeff - eye, gram_quad - eye,
                                        gram_quad - gram_coeff]))
-    return value, _at(owner[i])
+    return value, _at(_owner(blocks, i))
 
 
 def check_cross_degree_orthogonality(
         degrees: list[tuple[list[CoeffMatrix], np.ndarray]],
         weights: np.ndarray) -> Worst:
     """Components of different degrees must integrate to zero; degrees
-    holds (blocks, Y^l at the grid nodes) per degree, and every pair of
-    them is checked.  The location names both blocks (primed: the higher
-    degree)."""
-    vals = []
-    for blocks, y in degrees:
-        h, owner = _stack(blocks)
-        vals.append((owner, h @ y))
+    holds (blocks, their values at the grid nodes as for
+    check_orthonormality) per degree, and every pair of them is checked.
+    The location names both blocks (primed: the later degree)."""
     worst = NO_RESIDUAL
-    for k, (owner_a, va) in enumerate(vals):
-        for owner_b, vb in vals[k + 1:]:
+    for k, (blocks_a, va) in enumerate(degrees):
+        for blocks_b, vb in degrees[k + 1:]:
             value, (i, j) = _peak((va * weights) @ vb.conj().T)
-            b = owner_b[j]
-            worst = _worst(worst, (value, {**_at(owner_a[i]), "p'": b.p,
-                                           "l'": b.l, "n'": b.n}))
+            b = _owner(blocks_b, j)
+            worst = _worst(worst, (value, {**_at(_owner(blocks_a, i)),
+                                           "p'": b.p, "l'": b.l, "n'": b.n}))
     return worst
 
 
-def check_realness(blocks: list[CoeffMatrix], y: np.ndarray) -> Worst:
+def check_realness(blocks: list[CoeffMatrix], values: np.ndarray) -> Worst:
     """Max imaginary part of any component of one degree at any node
-    (y is Y^l at the nodes)."""
-    h, owner = _stack(blocks)
-    value, (i, _) = _peak((h @ y).imag)
-    return value, _at(owner[i])
+    (values as for check_orthonormality)."""
+    value, (i, _) = _peak(values.imag)
+    return value, _at(_owner(blocks, i))
 
 
 def check_transformation(blocks: list[CoeffMatrix],
@@ -210,10 +201,10 @@ def check_transformation(blocks: list[CoeffMatrix],
     """Max over the blocks of one degree and the nodes x of
     |I(R_g^-1 x) - Gamma_r(g)^T I(x)| at one group element g, from Y^l
     at the nodes (y) and at R_g^-1 x (y_g)."""
-    h, owner = _stack(blocks)
+    h = _stack(blocks)
     value, (i, _) = _peak(h @ y_g - _block_gamma(blocks, real_irreps, g).T
                           @ (h @ y))
-    return value, _at(owner[i], g=g)
+    return value, _at(_owner(blocks, i), g=g)
 
 
 def check_irrep_recovery(blocks: list[CoeffMatrix],
@@ -226,7 +217,7 @@ def check_irrep_recovery(blocks: list[CoeffMatrix],
     blocks = [b for b in blocks if b.dim > 1]
     if not blocks:
         return NO_RESIDUAL
-    h, owner = _stack(blocks)
+    h = _stack(blocks)
     ids = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])
     diagonal = ids[:, None] == ids[None, :]
     vals = (h @ y).real
@@ -240,7 +231,7 @@ def check_irrep_recovery(blocks: list[CoeffMatrix],
         return np.inf, {"l": blocks[0].l, "g": g}
     value, (_, i, _) = _peak(np.stack([gamma - _block_gamma(blocks, real_irreps, g),
                                        gamma.T @ gamma - np.eye(len(h))]))
-    return value, _at(owner[i], g=g)
+    return value, _at(_owner(blocks, i), g=g)
 
 
 def random_sphere_nodes(n: int, seed: int = 0) -> np.ndarray:
@@ -256,22 +247,25 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
     """Run the full check battery in one pass over degrees and assemble an
     ordered report.
 
-    Per degree, Y^l is evaluated once on the quadrature grid for the Gram,
-    realness and cross-degree checks; up to transform_l_cap, also once at
-    the sample nodes and once per g at R_g^-1 x, shared by every block in
-    the transformation-law and irrep-recovery checks.  Cross-degree pairs
-    and irrep recovery cover every degree up to transform_l_cap.
+    Per degree, Y^l is evaluated once on the quadrature grid, and its one
+    product H^l Y^l feeds the Gram, realness and cross-degree checks; up to
+    transform_l_cap, Y^l is also evaluated once at the sample nodes and
+    once per g at R_g^-1 x, shared by every block in the transformation-law
+    and irrep-recovery checks.  Irrep recovery covers every degree up to
+    transform_l_cap, and cross-degree pairs every degree up to
+    max(transform_l_cap, 6).
     """
     report = VerificationReport(group_name=basis_set.group_name)
     l_max = basis_set.l_max
     cap = min(l_max, transform_l_cap)
+    pair_cap = max(cap, min(l_max, 6))
     grid = quadrature_grid(2 * l_max + 2)
     nodes = random_sphere_nodes(n_sample_nodes, seed=basis_set.seed + 1)
-    angles = sample_angles(nodes, group)
+    (theta, phi), rotated = sample_angles(nodes, group)
     complete_o_i = basis_set.group_name in ("O", "I")
 
     ortho = real = trans = recov = complete = NO_RESIDUAL
-    held = []                  # (blocks, Y^l on the grid) for l <= cap
+    held = []                  # (blocks, H^l Y^l on the grid), l <= pair_cap
     for l in range(l_max + 1):
         blocks = sorted(basis_set.select(l=l), key=lambda b: (b.p, b.n))
         rows = sum(b.dim for b in blocks)
@@ -284,30 +278,33 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
             want = sum(r.dim * irrep_multiplicity(group, r, l)
                        for r in real_irreps.values())
             complete = _worst(complete, (abs(rows - want), {"l": l}))
-        if not blocks:
+        if blocks:
+            h = _stack(blocks)
+            if complete_o_i:
+                complete = _worst(complete, (_peak(h @ h.conj().T - np.eye(rows))[0],
+                                             {"l": l}))
+            values = h @ wigner.eval_sh_vector(l, grid.theta, grid.phi)
+            ortho = _worst(ortho, check_orthonormality(blocks, values,
+                                                       grid.weights))
+            real = _worst(real, check_realness(blocks, values))
+            if l <= pair_cap:
+                held.append((blocks, values))
+        if l == pair_cap:      # free the held values before the larger degrees
+            cross = check_cross_degree_orthogonality(held, grid.weights)
+            held.clear()
+        if not blocks or l > cap:
             continue
-        if complete_o_i:
-            h, _ = _stack(blocks)
-            complete = _worst(complete, (_peak(h @ h.conj().T - np.eye(rows))[0],
-                                         {"l": l}))
-
-        y = wigner.eval_sh_vector(l, grid.theta, grid.phi)
-        ortho = _worst(ortho, check_orthonormality(blocks, y, grid.weights))
-        real = _worst(real, check_realness(blocks, y))
-        if l > cap:
-            continue
-        held.append((blocks, y))
-        for g, y_nodes, y_g in sample_harmonics(l, angles):
+        y = wigner.eval_sh_vector(l, theta, phi)
+        for g, (theta_g, phi_g) in enumerate(rotated):
+            y_g = wigner.eval_sh_vector(l, theta_g, phi_g)
             trans = _worst(trans, check_transformation(blocks, real_irreps, g,
-                                                       y_nodes, y_g))
+                                                       y, y_g))
             recov = _worst(recov, check_irrep_recovery(blocks, real_irreps, g,
-                                                       y_nodes, y_g))
+                                                       y, y_g))
 
     found = [("orthonormality_gram_per_l", ortho, CONSTRUCTION_TOL)]
-    if cap >= 1:
-        found.append(("cross_degree_orthogonality",
-                      check_cross_degree_orthogonality(held, grid.weights),
-                      CONSTRUCTION_TOL))
+    if pair_cap >= 1:
+        found.append(("cross_degree_orthogonality", cross, CONSTRUCTION_TOL))
     found += [("pointwise_realness", real, CONSTRUCTION_TOL),
               ("transformation_law", trans, END_TO_END_TOL),
               ("irrep_recovery_from_functions", recov, END_TO_END_TOL),

@@ -11,8 +11,7 @@ from polybasis.groups import irrep_multiplicity
 from polybasis.realify import frobenius_schur, solve_all
 from polybasis.verify import (check_orthonormality, check_irrep_recovery,
                               check_transformation, quadrature_grid,
-                              random_sphere_nodes, sample_angles,
-                              sample_harmonics)
+                              random_sphere_nodes, sample_angles)
 from polybasis import io as pio
 from polybasis import wigner
 
@@ -122,9 +121,11 @@ def test_criterion_05_transformation_law(atlas, real_irreps, basis_sets):
     for name in "TOI":
         group, _ = atlas[name]
         _, real = real_irreps[name]
-        angles = sample_angles(nodes, group)
+        (theta, phi), rotated = sample_angles(nodes, group)
         for l in range(basis_sets[name].l_max + 1):    # fixture holds l <= 10
-            for g, y, y_g in sample_harmonics(l, angles):
+            y = wigner.eval_sh_vector(l, theta, phi)
+            for g, (theta_g, phi_g) in enumerate(rotated):
+                y_g = wigner.eval_sh_vector(l, theta_g, phi_g)
                 for b in basis_sets[name].select(l=l):
                     resid, where = check_transformation([b], real, g, y, y_g)
                     assert resid < 1e-8, (where, resid)
@@ -151,9 +152,10 @@ def test_criterion_06_orthonormality(sets15):
     grid = quadrature_grid(2 * 15 + 2)
     for name in "TOI":
         for l in range(16):
-            y = wigner.eval_sh_vector(l, grid.theta, grid.phi)
-            resid, where = check_orthonormality(sets15[name].select(l=l), y,
-                                                grid.weights)
+            blocks = sets15[name].select(l=l)
+            values = (np.vstack([b.H for b in blocks])
+                      @ wigner.eval_sh_vector(l, grid.theta, grid.phi))
+            resid, where = check_orthonormality(blocks, values, grid.weights)
             assert resid < 1e-10, (name, where, resid)
 
 
@@ -179,7 +181,7 @@ def test_criterion_08_irrep_recovery(atlas, real_irreps, basis_sets, name, p):
     group, _ = atlas[name]
     _, real = real_irreps[name]
     nodes = random_sphere_nodes(200, seed=8)
-    angles = sample_angles(nodes, group)
+    (theta, phi), rotated = sample_angles(nodes, group)
     found = False
     for l in range(basis_sets[name].l_max + 1):
         blocks = basis_sets[name].select(p=p, l=l)
@@ -188,7 +190,9 @@ def test_criterion_08_irrep_recovery(atlas, real_irreps, basis_sets, name, p):
         found = True
         # the residual covers |Gamma - Gamma_r| and |Gamma^T Gamma - 1|
         # of every recovered Gamma(g)
-        for g, y, y_g in sample_harmonics(l, angles):
+        y = wigner.eval_sh_vector(l, theta, phi)
+        for g, (theta_g, phi_g) in enumerate(rotated):
+            y_g = wigner.eval_sh_vector(l, theta_g, phi_g)
             for b in blocks:
                 resid, where = check_irrep_recovery([b], real, g, y, y_g)
                 assert resid < 1e-8, (where, resid)

@@ -7,8 +7,7 @@ from polybasis.verify import (CheckResult, VerificationReport,
                               check_orthonormality, check_irrep_recovery,
                               check_realness, check_transformation,
                               quadrature_grid, random_sphere_nodes,
-                              sample_angles, sample_harmonics,
-                              verify_basis_set)
+                              sample_angles, verify_basis_set)
 from polybasis import wigner
 
 
@@ -36,53 +35,61 @@ class TestQuadrature:
         assert np.abs((y2 * grid.weights) @ y5.conj().T).max() < 1e-13
 
 
-def grid_harmonics(bs, l):
-    """Blocks of degree l and Y^l on the set's verification grid."""
-    grid = quadrature_grid(2 * bs.l_max + 2)
-    return bs.select(l=l), wigner.eval_sh_vector(l, grid.theta, grid.phi), grid
+def on_grid(blocks, l_max):
+    """Values H^l Y^l of the blocks (all of one degree l) on the
+    verification grid of a set of the given l_max, and the grid."""
+    grid = quadrature_grid(2 * l_max + 2)
+    y = wigner.eval_sh_vector(blocks[0].l, grid.theta, grid.phi)
+    return np.vstack([b.H for b in blocks]) @ y, grid
 
 
 class TestChecks:
     def test_orthonormality_clean(self, atlas, basis_sets):
         bs = basis_sets["I"]
         for l in range(bs.l_max + 1):
-            blocks, y, grid = grid_harmonics(bs, l)
-            resid, where = check_orthonormality(blocks, y, grid.weights)
+            blocks = bs.select(l=l)
+            values, grid = on_grid(blocks, bs.l_max)
+            resid, where = check_orthonormality(blocks, values, grid.weights)
             assert resid < 1e-10 and where["l"] == l
 
     def test_orthonormality_detects_scaling(self, basis_sets):
         bs = basis_sets["O"]
         for l in range(bs.l_max + 1):
-            blocks, y, grid = grid_harmonics(bs, l)
             bad = [CoeffMatrix(p=b.p, l=b.l, n=b.n, H=1.01 * b.H)
-                   for b in blocks]
-            assert check_orthonormality(bad, y, grid.weights)[0] > 1e-3
+                   for b in bs.select(l=l)]
+            values, grid = on_grid(bad, bs.l_max)
+            assert check_orthonormality(bad, values, grid.weights)[0] > 1e-3
 
     def test_cross_degree_clean(self, basis_sets):
         bs = basis_sets["T"]
-        degrees = [grid_harmonics(bs, l) for l in (0, 3, 4, 6)]
-        grid = degrees[0][2]
-        resid, where = check_cross_degree_orthogonality(
-            [(blocks, y) for blocks, y, _ in degrees], grid.weights)
+        degrees = [(bs.select(l=l), on_grid(bs.select(l=l), bs.l_max)[0])
+                   for l in (0, 3, 4, 6)]
+        grid = quadrature_grid(2 * bs.l_max + 2)
+        resid, where = check_cross_degree_orthogonality(degrees, grid.weights)
         assert resid < 1e-11
         assert where["l"] < where["l'"]
 
     def test_cross_degree_detects_overlap(self, basis_sets):
         # the same functions listed under two degrees overlap with themselves
-        blocks, y, grid = grid_harmonics(basis_sets["O"], 6)
+        bs = basis_sets["O"]
+        blocks = bs.select(l=6)
+        values, grid = on_grid(blocks, bs.l_max)
         resid, where = check_cross_degree_orthogonality(
-            [(blocks, y), (blocks, y)], grid.weights)
+            [(blocks, values), (blocks, values)], grid.weights)
         assert resid == pytest.approx(1.0, abs=1e-10)
         assert where["l"] == where["l'"] == 6
 
     def test_realness_clean_and_detects_corruption(self, basis_sets):
         bs = basis_sets["O"]
-        blocks, y, _ = grid_harmonics(bs, 1)
-        assert check_realness(blocks, y)[0] < 1e-11
+        for l in range(bs.l_max + 1):
+            blocks = bs.select(l=l)
+            resid, where = check_realness(blocks, on_grid(blocks, bs.l_max)[0])
+            assert resid < 1e-11 and where["l"] == l
         b = bs.get(4, 1, 1)
         h = b.H.copy()
         h[0, 0] += 0.05j
-        resid, where = check_realness([CoeffMatrix(p=b.p, l=b.l, n=b.n, H=h)], y)
+        bad = [CoeffMatrix(p=b.p, l=b.l, n=b.n, H=h)]
+        resid, where = check_realness(bad, on_grid(bad, bs.l_max)[0])
         assert resid > 1e-3
         assert where == {"p": 4, "l": 1, "n": 1}
 
@@ -91,7 +98,10 @@ class TestChecks:
         _, real = real_irreps["I"]
         nodes = random_sphere_nodes(100, seed=2)
         blocks = basis_sets["I"].select(l=6)
-        for g, y, y_g in sample_harmonics(6, sample_angles(nodes, group)):
+        (theta, phi), rotated = sample_angles(nodes, group)
+        y = wigner.eval_sh_vector(6, theta, phi)
+        for g, (theta_g, phi_g) in enumerate(rotated):
+            y_g = wigner.eval_sh_vector(6, theta_g, phi_g)
             for b in blocks:
                 assert check_transformation([b], real, g, y, y_g)[0] < 1e-11
             assert check_transformation(blocks, real, g, y, y_g)[0] < 1e-11
@@ -108,7 +118,10 @@ class TestChecks:
                                                   (group.order, 4, 4)).copy(),
                          seed=0)
         worst = 0.0
-        for g, y, y_g in sample_harmonics(4, sample_angles(nodes, group)):
+        (theta, phi), rotated = sample_angles(nodes, group)
+        y = wigner.eval_sh_vector(4, theta, phi)
+        for g, (theta_g, phi_g) in enumerate(rotated):
+            y_g = wigner.eval_sh_vector(4, theta_g, phi_g)
             assert check_transformation([b4], real, g, y, y_g)[0] < 1e-11
             resid, where = check_transformation([b4], {4: fake}, g, y, y_g)
             assert where == {"p": 4, "l": 4, "n": 1, "g": g}
@@ -121,7 +134,10 @@ class TestChecks:
         nodes = random_sphere_nodes(150, seed=9)
         b = basis_sets["O"].get(5, 3, 1)
         worst = 0.0
-        for g, y, y_g in sample_harmonics(3, sample_angles(nodes, group)):
+        (theta, phi), rotated = sample_angles(nodes, group)
+        y = wigner.eval_sh_vector(3, theta, phi)
+        for g, (theta_g, phi_g) in enumerate(rotated):
+            y_g = wigner.eval_sh_vector(3, theta_g, phi_g)
             assert check_irrep_recovery([b], real, g, y, y_g)[0] < 1e-9
             # O's p = 4 and p = 5 are both 3-dimensional; the wrong one is found
             resid, where = check_irrep_recovery([b], {5: real[4]}, g, y, y_g)
@@ -216,6 +232,19 @@ class TestReport:
         recovery = {c.name: c for c in report.checks}["irrep_recovery_from_functions"]
         assert not recovery.passed, report.table()
         assert recovery.location["l"] == 8 and recovery.location["p"] == 4
+
+    def test_cross_degree_row_kept_below_cap_one(self, atlas, real_irreps,
+                                                 basis_sets):
+        # pairs cover degrees up to max(transform_l_cap, 6), so the row is
+        # reported even when the transformation law stops at l = 0
+        group, _ = atlas["O"]
+        _, real = real_irreps["O"]
+        report = verify_basis_set(basis_sets["O"], group, real,
+                                  transform_l_cap=0)
+        checks = {c.name: c for c in report.checks}
+        assert report.passed, report.table()
+        assert "cross_degree_orthogonality" in checks
+        assert checks["cross_degree_orthogonality"].location["l'"] <= 6
 
     def test_non_finite_coefficient_fails(self, atlas, real_irreps, basis_sets):
         group, _ = atlas["T"]
