@@ -161,7 +161,9 @@ def build_basis(real_irrep: RealIrrep, group: Group, l: int,
     out = []
     for n in range(1, multiplicity + 1):
         a = rows[:, :, n - 1]
-        h = a @ u_t.real + 1j * (a @ u_t.imag)        # A U^T by real products only
+        # A U^T as two real products: the complex product writes -0.0 where
+        # these write 0.0, which would change the saved coefficient files
+        h = a @ u_t.real + 1j * (a @ u_t.imag)
         if not realness_row_condition(h):
             raise BasisError(f"realness row condition violated (p={p}, "
                              f"l={l}, n={n})")

@@ -197,31 +197,32 @@ def check_realness(blocks: list[CoeffMatrix], values: np.ndarray) -> Worst:
 
 def check_transformation(blocks: list[CoeffMatrix],
                          real_irreps: dict[int, RealIrrep], g: int,
-                         y: np.ndarray, y_g: np.ndarray) -> Worst:
+                         values: np.ndarray, values_g: np.ndarray) -> Worst:
     """Max over the blocks of one degree and the nodes x of
-    |I(R_g^-1 x) - Gamma_r(g)^T I(x)| at one group element g, from Y^l
-    at the nodes (y) and at R_g^-1 x (y_g)."""
-    h = _stack(blocks)
-    value, (i, _) = _peak(h @ y_g - _block_gamma(blocks, real_irreps, g).T
-                          @ (h @ y))
+    |I(R_g^-1 x) - Gamma_r(g)^T I(x)| at one group element g, from the
+    components H^l Y^l (rows of the blocks in order) at the nodes (values)
+    and at R_g^-1 x (values_g)."""
+    value, (i, _) = _peak(values_g - _block_gamma(blocks, real_irreps, g).T
+                          @ values)
     return value, _at(_owner(blocks, i), g=g)
 
 
 def check_irrep_recovery(blocks: list[CoeffMatrix],
                          real_irreps: dict[int, RealIrrep], g: int,
-                         y: np.ndarray, y_g: np.ndarray) -> Worst:
+                         values: np.ndarray, values_g: np.ndarray) -> Worst:
     """Recover Gamma(g) at one group element g, for every block of one
     degree with d_p > 1, from the sampled P(g) I = Gamma^T I by least
-    squares (y and y_g as for check_transformation); max residual vs
-    Gamma_r, including the orthogonality defect of the recovered matrix."""
+    squares (values and values_g as for check_transformation); max residual
+    vs Gamma_r, including the orthogonality defect of the recovered matrix."""
+    dims = [b.dim for b in blocks]
+    keep = np.repeat([d > 1 for d in dims], dims)
     blocks = [b for b in blocks if b.dim > 1]
     if not blocks:
         return NO_RESIDUAL
-    h = _stack(blocks)
     ids = np.repeat(np.arange(len(blocks)), [b.dim for b in blocks])
     diagonal = ids[:, None] == ids[None, :]
-    vals = (h @ y).real
-    lhs = (h @ y_g).real
+    vals = values[keep].real
+    lhs = values_g[keep].real
     # per block, the normal equations Gamma (V V^T) = V lhs^T of
     # lhs = Gamma^T V; one block-diagonal solve covers every block
     try:
@@ -230,7 +231,7 @@ def check_irrep_recovery(blocks: list[CoeffMatrix],
     except np.linalg.LinAlgError:       # rows dependent at the nodes
         return np.inf, {"l": blocks[0].l, "g": g}
     value, (_, i, _) = _peak(np.stack([gamma - _block_gamma(blocks, real_irreps, g),
-                                       gamma.T @ gamma - np.eye(len(h))]))
+                                       gamma.T @ gamma - np.eye(len(vals))]))
     return value, _at(_owner(blocks, i), g=g)
 
 
@@ -244,16 +245,16 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
                      real_irreps: dict[int, RealIrrep],
                      transform_l_cap: int = 10,
                      n_sample_nodes: int = 200) -> VerificationReport:
-    """Run the full check battery in one pass over degrees and assemble an
-    ordered report.
+    """Run the full check battery and assemble an ordered report.
 
-    Per degree, Y^l is evaluated once on the quadrature grid, and its one
-    product H^l Y^l feeds the Gram, realness and cross-degree checks; up to
-    transform_l_cap, Y^l is also evaluated once at the sample nodes and
-    once per g at R_g^-1 x, shared by every block in the transformation-law
-    and irrep-recovery checks.  Irrep recovery covers every degree up to
-    transform_l_cap, and cross-degree pairs every degree up to
-    max(transform_l_cap, 6).
+    Y^l comes from one harmonic recurrence (wigner.sh_degrees) over the
+    quadrature grid, whose per-degree product H^l Y^l feeds the Gram,
+    realness and cross-degree checks; one over the sample nodes up to
+    transform_l_cap, whose H^l Y^l is held; and one per g over R_g^-1 x,
+    shared by every block in the transformation-law and irrep-recovery
+    checks.  That is order + 2 recurrences in all.  Irrep recovery covers
+    every degree up to transform_l_cap, and cross-degree pairs every degree
+    up to max(transform_l_cap, 6).
     """
     report = VerificationReport(group_name=basis_set.group_name)
     l_max = basis_set.l_max
@@ -263,11 +264,13 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
     nodes = random_sphere_nodes(n_sample_nodes, seed=basis_set.seed + 1)
     (theta, phi), rotated = sample_angles(nodes, group)
     complete_o_i = basis_set.group_name in ("O", "I")
+    by_degree = [sorted(basis_set.select(l=l), key=lambda b: (b.p, b.n))
+                 for l in range(l_max + 1)]
 
     ortho = real = trans = recov = complete = NO_RESIDUAL
     held = []                  # (blocks, H^l Y^l on the grid), l <= pair_cap
-    for l in range(l_max + 1):
-        blocks = sorted(basis_set.select(l=l), key=lambda b: (b.p, b.n))
+    for l, y in wigner.sh_degrees(l_max, grid.theta, grid.phi):
+        blocks = by_degree[l]
         rows = sum(b.dim for b in blocks)
         # Completeness per degree for O and I; for T, the exact row count of
         # the real subspaces, 2l+1 - 2 N_{2;l} (the complex pair carries the
@@ -283,7 +286,7 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
             if complete_o_i:
                 complete = _worst(complete, (_peak(h @ h.conj().T - np.eye(rows))[0],
                                              {"l": l}))
-            values = h @ wigner.eval_sh_vector(l, grid.theta, grid.phi)
+            values = h @ y
             ortho = _worst(ortho, check_orthonormality(blocks, values,
                                                        grid.weights))
             real = _worst(real, check_realness(blocks, values))
@@ -292,15 +295,25 @@ def verify_basis_set(basis_set: BasisSet, group: Group,
         if l == pair_cap:      # free the held values before the larger degrees
             cross = check_cross_degree_orthogonality(held, grid.weights)
             held.clear()
-        if not blocks or l > cap:
-            continue
-        y = wigner.eval_sh_vector(l, theta, phi)
-        for g, (theta_g, phi_g) in enumerate(rotated):
-            y_g = wigner.eval_sh_vector(l, theta_g, phi_g)
+        del y                  # not held while the next degree is built
+
+    # Sample nodes: per degree up to cap, the stacked H^l and H^l Y^l at the
+    # nodes, held across the group elements (at most 2116 x 200 values).
+    at_nodes = {}
+    for l, y in wigner.sh_degrees(cap, theta, phi):
+        if by_degree[l]:
+            h = _stack(by_degree[l])
+            at_nodes[l] = (by_degree[l], h, h @ y)
+    for g, (theta_g, phi_g) in enumerate(rotated):
+        for l, y_g in wigner.sh_degrees(cap, theta_g, phi_g):
+            if l not in at_nodes:
+                continue
+            blocks, h, values = at_nodes[l]
+            values_g = h @ y_g
             trans = _worst(trans, check_transformation(blocks, real_irreps, g,
-                                                       y, y_g))
+                                                       values, values_g))
             recov = _worst(recov, check_irrep_recovery(blocks, real_irreps, g,
-                                                       y, y_g))
+                                                       values, values_g))
 
     found = [("orthonormality_gram_per_l", ortho, CONSTRUCTION_TOL)]
     if pair_cap >= 1:

@@ -9,6 +9,11 @@ so that the rotation operator acting on functions, P(g) f(x) = f(R_g^-1 x),
 satisfies P(g) Y_{l,m} = sum_{m'} D^l_{m',m}(g) Y_{l,m'}.  The real
 harmonics are Z^l = U^T Y^l with the unitary U below, and their rotation
 is W = U^-1 D U (real for every rotation).
+
+The complex harmonics Y_{l,m} (Condon-Shortley phase) come from one fully
+normalised associated-Legendre recurrence in numpy: sh_degrees yields
+every degree up to l_max from a single pass, and eval_sh_vector is its
+single-degree case.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from math import lgamma
 
 import numpy as np
-from scipy import special as sp_special
 
 L_MAX_SUPPORTED = 45
 
@@ -201,8 +205,7 @@ def real_wigner_stack(l: int, rotations: np.ndarray) -> np.ndarray:
     Z^l(R^-1 x) = W^T Z^l(x).
 
     U has its nonzeros at (c, c) and (2l-c, c) only, so both products are
-    taken entry-wise: cheaper than matrix products, and no complex BLAS
-    product, after which scipy's harmonics can run ~10x slower.
+    taken entry-wise, which is cheaper than two dense complex products.
     """
     d_stack = wigner_D_stack(l, rotations)
     u = real_sh_transform(l)
@@ -240,41 +243,84 @@ def real_rotation_M_cases(l: int, d: np.ndarray) -> np.ndarray:
 
 # -- spherical harmonics ----------------------------------------------------
 
-def eval_complex_sh(l: int, m: int, theta, phi) -> np.ndarray:
-    """Y_{l,m}(theta, phi) with the Condon-Shortley phase."""
-    theta = np.asarray(theta, float)
-    phi = np.asarray(phi, float)
-    if hasattr(sp_special, "sph_harm_y"):
-        return np.asarray(sp_special.sph_harm_y(l, m, theta, phi))
-    return np.asarray(sp_special.sph_harm(m, l, phi, theta))
+def _angles(theta, phi) -> tuple[tuple[int, ...], np.ndarray, np.ndarray]:
+    """Broadcast shape and the flattened angles."""
+    theta, phi = np.broadcast_arrays(np.atleast_1d(np.asarray(theta, float)),
+                                     np.atleast_1d(np.asarray(phi, float)))
+    return theta.shape, theta.ravel(), phi.ravel()
+
+
+def _legendre_degrees(l_max: int, theta: np.ndarray):
+    """Yield (l, P) for l = 0..l_max, where P[m] for m = 0..l holds the
+    fully normalised associated Legendre function P_l^m(cos theta), with
+    the Condon-Shortley phase and normalised so that P_l^m e^{i m phi} is
+    Y_{l,m}.  Rows above l are stale; P is overwritten by the next degree.
+
+    Holmes & Featherstone (2002): the sectoral seeds
+    P_m^m = -sqrt((2m+1)/(2m)) sin(theta) P_{m-1}^{m-1}, then at fixed m
+    P_l^m = a_lm (cos(theta) P_{l-1}^m - P_{l-2}^m / a_{l-1,m}) with
+    a_lm = sqrt((4l^2 - 1) / (l^2 - m^2)).  Three buffers, updated in place.
+    """
+    x = np.cos(theta)
+    s = np.sin(theta)           # not sqrt(1 - x^2), which is 0 near the poles
+    p2, p1, cur = (np.zeros((l_max + 1, theta.size)) for _ in range(3))
+    for l in range(l_max + 1):
+        if l == 0:
+            cur[0] = 1.0 / np.sqrt(4.0 * np.pi)
+        else:
+            np.multiply(p1[l - 1], s, out=cur[l])
+            cur[l] *= -np.sqrt((2 * l + 1) / (2 * l))
+            m = np.arange(l)
+            np.multiply(p1[:l], x, out=cur[:l])
+            if l >= 2:          # P_{l-2}^m exists for m <= l-2 only
+                k = l - 1
+                p2[:k] *= np.sqrt((k * k - m[:k] ** 2) / (4.0 * k * k - 1.0))[:, None]
+                cur[:k] -= p2[:k]
+            cur[:l] *= np.sqrt((4.0 * l * l - 1.0) / (l * l - m * m))[:, None]
+        yield l, cur
+        p2, p1, cur = p1, cur, p2
+
+
+def _harmonics(l: int, leg: np.ndarray, phi: np.ndarray,
+               phases: list[np.ndarray] | None = None) -> np.ndarray:
+    """Y^l, shape (2l+1, n), from the degree's Legendre rows: row by row
+    Y_{l,m} = P_l^m e^{i m phi}, then Y_{l,-m} = (-1)^m conj(Y_{l,m}).
+    phases, if given, caches e^{i m phi} by m across degrees."""
+    y = np.empty((2 * l + 1, phi.size), dtype=complex)
+    for m in range(l + 1):
+        if phases is None:
+            e = np.exp(1j * (m * phi))
+        else:
+            if m == len(phases):
+                phases.append(np.exp(1j * (m * phi)))
+            e = phases[m]
+        np.multiply(leg[m], e, out=y[l + m])
+        if m:
+            np.conjugate(y[l + m], out=y[l - m])
+            if m % 2:
+                np.negative(y[l - m], out=y[l - m])
+    return y
+
+
+def sh_degrees(l_max: int, theta, phi):
+    """Yield (l, Y^l) for l = 0..l_max from one Legendre recurrence; Y^l
+    = [Y_{l,-l} ... Y_{l,l}] with the Condon-Shortley phase, shape
+    (2l+1,) + the broadcast shape of theta and phi."""
+    shape, theta, phi = _angles(theta, phi)
+    phases: list[np.ndarray] = []
+    for l, leg in _legendre_degrees(l_max, theta):
+        yield l, _harmonics(l, leg, phi, phases).reshape((2 * l + 1,) + shape)
 
 
 def eval_sh_vector(l: int, theta, phi) -> np.ndarray:
-    """Stack [Y_{l,-l} ... Y_{l,l}] with shape (2l+1,) + theta.shape."""
-    theta = np.atleast_1d(np.asarray(theta, float))
-    phi = np.atleast_1d(np.asarray(phi, float))
-    out = np.empty((2 * l + 1,) + theta.shape, dtype=complex)
-    for m in range(-l, l + 1):
-        out[l + m] = eval_complex_sh(l, m, theta, phi)
-    return out
-
-
-def eval_real_sh(l: int, m: int, theta, phi) -> np.ndarray:
-    """Real spherical harmonic Z_{l,m} = (U^T Y^l)_m."""
-    if m == 0:
-        val = eval_complex_sh(l, 0, theta, phi)
-    elif m < 0:
-        ym = eval_complex_sh(l, m, theta, phi)
-        ymm = eval_complex_sh(l, -m, theta, phi)
-        val = 1j / np.sqrt(2.0) * (ym - (-1.0) ** m * ymm)
-    else:
-        ym = eval_complex_sh(l, m, theta, phi)
-        ymm = eval_complex_sh(l, -m, theta, phi)
-        val = 1.0 / np.sqrt(2.0) * (ymm + (-1.0) ** m * ym)
-    resid = np.abs(np.imag(val)).max() if np.ndim(val) else abs(np.imag(val))
-    if resid > 1e-12:
-        raise AssertionError(f"real harmonic has imaginary residue {resid:.2e}")
-    return np.real(val)
+    """Y^l alone, equal to the l-th yield of sh_degrees: the recurrence
+    runs up to l and only the last degree is assembled."""
+    if l < 0:
+        raise ValueError("l must be non-negative")
+    shape, theta, phi = _angles(theta, phi)
+    for deg, leg in _legendre_degrees(l, theta):
+        if deg == l:
+            return _harmonics(l, leg, phi).reshape((2 * l + 1,) + shape)
 
 
 def spherical_from_cartesian(xyz: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -127,7 +127,8 @@ def test_criterion_05_transformation_law(atlas, real_irreps, basis_sets):
             for g, (theta_g, phi_g) in enumerate(rotated):
                 y_g = wigner.eval_sh_vector(l, theta_g, phi_g)
                 for b in basis_sets[name].select(l=l):
-                    resid, where = check_transformation([b], real, g, y, y_g)
+                    resid, where = check_transformation([b], real, g, b.H @ y,
+                                                        b.H @ y_g)
                     assert resid < 1e-8, (where, resid)
 
 
@@ -194,7 +195,8 @@ def test_criterion_08_irrep_recovery(atlas, real_irreps, basis_sets, name, p):
         for g, (theta_g, phi_g) in enumerate(rotated):
             y_g = wigner.eval_sh_vector(l, theta_g, phi_g)
             for b in blocks:
-                resid, where = check_irrep_recovery([b], real, g, y, y_g)
+                resid, where = check_irrep_recovery([b], real, g, b.H @ y,
+                                                    b.H @ y_g)
                 assert resid < 1e-8, (where, resid)
     assert found
 

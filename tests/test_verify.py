@@ -43,6 +43,11 @@ def on_grid(blocks, l_max):
     return np.vstack([b.H for b in blocks]) @ y, grid
 
 
+def at_nodes(blocks, y):
+    """Values H^l Y^l of the blocks (all of one degree) from Y^l at some nodes."""
+    return np.vstack([b.H for b in blocks]) @ y
+
+
 class TestChecks:
     def test_orthonormality_clean(self, atlas, basis_sets):
         bs = basis_sets["I"]
@@ -103,8 +108,10 @@ class TestChecks:
         for g, (theta_g, phi_g) in enumerate(rotated):
             y_g = wigner.eval_sh_vector(6, theta_g, phi_g)
             for b in blocks:
-                assert check_transformation([b], real, g, y, y_g)[0] < 1e-11
-            assert check_transformation(blocks, real, g, y, y_g)[0] < 1e-11
+                assert check_transformation([b], real, g, at_nodes([b], y),
+                                            at_nodes([b], y_g))[0] < 1e-11
+            assert check_transformation(blocks, real, g, at_nodes(blocks, y),
+                                        at_nodes(blocks, y_g))[0] < 1e-11
 
     def test_transformation_detects_wrong_irrep(self, atlas, real_irreps, basis_sets):
         group, _ = atlas["I"]
@@ -122,8 +129,9 @@ class TestChecks:
         y = wigner.eval_sh_vector(4, theta, phi)
         for g, (theta_g, phi_g) in enumerate(rotated):
             y_g = wigner.eval_sh_vector(4, theta_g, phi_g)
-            assert check_transformation([b4], real, g, y, y_g)[0] < 1e-11
-            resid, where = check_transformation([b4], {4: fake}, g, y, y_g)
+            values, values_g = at_nodes([b4], y), at_nodes([b4], y_g)
+            assert check_transformation([b4], real, g, values, values_g)[0] < 1e-11
+            resid, where = check_transformation([b4], {4: fake}, g, values, values_g)
             assert where == {"p": 4, "l": 4, "n": 1, "g": g}
             worst = max(worst, resid)
         assert worst > 1e-2
@@ -138,32 +146,42 @@ class TestChecks:
         y = wigner.eval_sh_vector(3, theta, phi)
         for g, (theta_g, phi_g) in enumerate(rotated):
             y_g = wigner.eval_sh_vector(3, theta_g, phi_g)
-            assert check_irrep_recovery([b], real, g, y, y_g)[0] < 1e-9
+            values, values_g = at_nodes([b], y), at_nodes([b], y_g)
+            assert check_irrep_recovery([b], real, g, values, values_g)[0] < 1e-9
             # O's p = 4 and p = 5 are both 3-dimensional; the wrong one is found
-            resid, where = check_irrep_recovery([b], {5: real[4]}, g, y, y_g)
+            resid, where = check_irrep_recovery([b], {5: real[4]}, g, values,
+                                                values_g)
             assert (where["p"], where["l"], where["g"]) == (5, 3, g)
             worst = max(worst, resid)
         assert worst > 1e-2
 
     def test_one_evaluation_per_degree_and_group_element(
             self, atlas, real_irreps, basis_sets, monkeypatch):
-        calls = []
-        evaluate = wigner.eval_sh_vector
+        # one harmonic recurrence over the grid, one over the sample nodes
+        # and one per g over R_g^-1 x; no single-degree evaluations
+        passes, singles = [], []
+        degrees, single = wigner.sh_degrees, wigner.eval_sh_vector
 
-        def counted(l, theta, phi):
-            calls.append(l)
-            return evaluate(l, theta, phi)
+        def counted_degrees(l_max, theta, phi):
+            passes.append(l_max)
+            return degrees(l_max, theta, phi)
 
-        monkeypatch.setattr(wigner, "eval_sh_vector", counted)
+        def counted_single(l, theta, phi):
+            singles.append(l)
+            return single(l, theta, phi)
+
+        monkeypatch.setattr(wigner, "sh_degrees", counted_degrees)
+        monkeypatch.setattr(wigner, "eval_sh_vector", counted_single)
         for name in "TOI":
             group, _ = atlas[name]
             _, real = real_irreps[name]
             bs = basis_sets[name]
-            calls.clear()
+            passes.clear()
             report = verify_basis_set(bs, group, real, transform_l_cap=10)
             assert report.passed, report.table()
             assert bs.l_max == 10
-            assert len(calls) <= (bs.l_max + 1) * (group.order + 2), name
+            assert len(passes) == group.order + 2, name
+            assert singles == [], name
 
 
 class TestReport:

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from polybasis.wigner import (EulerAngles, L_MAX_SUPPORTED, eval_complex_sh,
-                              eval_real_sh, eval_sh_vector,
+from oracles import eval_complex_sh, eval_real_sh
+from polybasis.wigner import (EulerAngles, L_MAX_SUPPORTED, eval_sh_vector,
                               euler_from_rotation, real_rotation_M,
                               real_rotation_M_cases, real_sh_transform,
-                              real_wigner_stack,
-                              rotation_from_euler, spherical_from_cartesian,
+                              real_wigner_stack, rotation_from_euler,
+                              sh_degrees, spherical_from_cartesian,
                               wigner_D, wigner_D_stack, wigner_d_factorial_sum,
                               wigner_d_small)
 
@@ -209,27 +209,66 @@ class TestRealTransform:
 class TestSphericalHarmonics:
     def test_known_values(self):
         theta, phi = 0.8, 1.9
-        assert eval_complex_sh(0, 0, theta, phi) == pytest.approx(0.5 / np.sqrt(np.pi))
+        y0 = eval_sh_vector(0, theta, phi)[:, 0]
+        assert y0[0] == pytest.approx(0.5 / np.sqrt(np.pi))
+        y1 = eval_sh_vector(1, theta, phi)[:, 0]              # m = -1, 0, 1
         y10 = np.sqrt(3 / (4 * np.pi)) * np.cos(theta)
-        assert eval_complex_sh(1, 0, theta, phi) == pytest.approx(y10)
+        assert y1[1] == pytest.approx(y10)
         y11 = -np.sqrt(3 / (8 * np.pi)) * np.sin(theta) * np.exp(1j * phi)
-        assert eval_complex_sh(1, 1, theta, phi) == pytest.approx(y11)
+        assert y1[2] == pytest.approx(y11)
 
     def test_condon_shortley_conjugation(self):
         theta, phi = 1.1, -0.4
         for l in (1, 2, 3):
+            y = eval_sh_vector(l, theta, phi)[:, 0]
             for m in range(-l, l + 1):
-                lhs = np.conj(eval_complex_sh(l, m, theta, phi))
-                rhs = (-1.0) ** m * eval_complex_sh(l, -m, theta, phi)
+                lhs = np.conj(y[l + m])
+                rhs = (-1.0) ** m * y[l - m]
                 assert abs(lhs - rhs) < 1e-13
 
     def test_real_sh_explicit_l1(self):
         theta, phi = 0.9, 2.2
         st, ct = np.sin(theta), np.cos(theta)
         scale = np.sqrt(3 / (4 * np.pi))
-        assert eval_real_sh(1, -1, theta, phi) == pytest.approx(scale * st * np.sin(phi))
-        assert eval_real_sh(1, 0, theta, phi) == pytest.approx(scale * ct)
-        assert eval_real_sh(1, 1, theta, phi) == pytest.approx(scale * st * np.cos(phi))
+        z = (real_sh_transform(1).T @ eval_sh_vector(1, theta, phi))[:, 0]
+        assert abs(z.imag).max() < 1e-15
+        assert z[0].real == pytest.approx(scale * st * np.sin(phi))
+        assert z[1].real == pytest.approx(scale * ct)
+        assert z[2].real == pytest.approx(scale * st * np.cos(phi))
+
+    def test_recurrence_matches_scipy_every_degree_and_order(self):
+        # every (l, m) with l <= 45 at random nodes, the exact poles and
+        # 1e-9 from them, against scipy's sph_harm_y one (l, m) at a time
+        rng = np.random.default_rng(45)
+        n = 500
+        theta = np.concatenate([np.arccos(rng.uniform(-1.0, 1.0, n)),
+                                [0.0, np.pi, 1e-9, np.pi - 1e-9]])
+        phi = np.concatenate([rng.uniform(-np.pi, np.pi, n), [0.3, -1.2, 2.0, -3.0]])
+        seen = []
+        for l, y in sh_degrees(L_MAX_SUPPORTED, theta, phi):
+            seen.append(l)
+            assert y.shape == (2 * l + 1, n + 4)
+            ref = np.array([eval_complex_sh(l, m, theta, phi)
+                            for m in range(-l, l + 1)])
+            assert np.abs(y - ref).max() <= 1e-13, l
+        assert seen == list(range(L_MAX_SUPPORTED + 1))
+
+    @pytest.mark.parametrize("l", [0, 1, 2, 7, 20, 45])
+    def test_single_degree_is_that_yield_bit_for_bit(self, l):
+        rng = np.random.default_rng(l)
+        theta = np.concatenate([rng.uniform(0.0, np.pi, 300), [0.0, np.pi]])
+        phi = np.concatenate([rng.uniform(-np.pi, np.pi, 300), [1.0, -2.0]])
+        for deg, y in sh_degrees(l, theta, phi):
+            assert np.array_equal(eval_sh_vector(deg, theta, phi), y), deg
+
+    def test_shapes_broadcast(self):
+        theta = np.linspace(0.1, 3.0, 12).reshape(3, 4)
+        y = eval_sh_vector(3, theta, 0.7)
+        assert y.shape == (7, 3, 4)
+        flat = eval_sh_vector(3, theta.ravel(), np.full(12, 0.7))
+        assert np.array_equal(y.reshape(7, 12), flat)
+        with pytest.raises(ValueError):
+            eval_sh_vector(-1, theta, 0.7)
 
     def test_spherical_from_cartesian_poles(self):
         theta, phi = spherical_from_cartesian(np.array([0.0, 0.0, 1.0]))
