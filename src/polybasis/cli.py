@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 verification failure, 2 usage error.
+Exit codes: 0 success, 1 verification failure, 2 usage error or a
+coefficient file that load_basis_set refuses.
 """
 
 from __future__ import annotations
@@ -108,7 +109,11 @@ def mesh(group_name, p, l, n, j, k1, k2, subdiv, seed, out_path):
 @click.argument("path", type=click.Path(exists=True, path_type=Path))
 def verify(path):
     """Re-verify persisted coefficient files (PATH is a manifest)."""
-    basis_set = pio.load_basis_set(path)
+    try:
+        basis_set = pio.load_basis_set(path)
+    except pio.CoeffFileError as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(2)
     group, irreps = build_atlas(basis_set.group_name)
     _, real = solve_all(group, irreps, seed=basis_set.seed)
     report = verify_basis_set(basis_set, group, real,

@@ -1,9 +1,15 @@
 """Coefficient-file persistence and OBJ mesh export.
 
-Coefficients are stored one JSON file per degree; Python's shortest
-round-trip float formatting makes save -> load -> save byte-identical.
-Meshes are subdivided icospheres displaced radially by one basis-function
-component, viewable in any standard OBJ reader.
+Coefficients are stored one JSON file per degree. The files are
+byte-identical to ``json.dumps(..., indent=1) + "\n"`` of the documented
+schema, but each block is written by one ``%``-format call with one
+``%r`` per real and imaginary part: ``%r`` is ``float.__repr__``, the
+shortest round-trip string that ``json`` writes, so save -> load -> save
+is byte-identical too. Non-finite coefficients are refused on save, and
+files with another convention, a malformed block or a non-finite entry
+are refused on load. Meshes are subdivided icospheres displaced radially
+by one basis-function component, written as OBJ text the same way, one
+``%``-format per record type, viewable in any standard OBJ reader.
 """
 
 from __future__ import annotations
@@ -19,34 +25,52 @@ from . import wigner
 
 # -- coefficient files ------------------------------------------------------
 
-def _complex_rows(h: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in h]
+CONVENTION_ID = "zyz-active-condon-shortley-v1"
 
 
-def coeff_file_dict(basis_set: BasisSet, l: int) -> dict:
+class CoeffFileError(ValueError):
+    """A coefficient file that load_basis_set refuses; the message names it."""
+
+
+def _block_text(b: CoeffMatrix) -> str:
+    """One block as json.dumps(indent=1) lays it out inside "blocks"."""
+    h = np.ascontiguousarray(b.H, dtype=complex)
+    pair = "\n     [\n      %r,\n      %r\n     ]"
+    row = "\n    [" + ",".join([pair] * h.shape[1]) + "\n    ]"
+    template = ",".join([row] * h.shape[0])
+    return (f'  {{\n   "p": {b.p},\n   "n": {b.n},\n   "rows": ['
+            + template % tuple(h.view(float).ravel().tolist())
+            + "\n   ]\n  }")
+
+
+def _coeff_file_text(basis_set: BasisSet, l: int) -> str:
     blocks = sorted(basis_set.select(l=l), key=lambda b: (b.p, b.n))
-    return {
-        "group": basis_set.group_name,
-        "l": l,
-        "blocks": [{"p": b.p, "n": b.n, "rows": _complex_rows(b.H)}
-                   for b in blocks],
-        "meta": {
-            "seed": basis_set.seed,
+    meta = {"seed": basis_set.seed,
             "tolerances": {"construction": 1e-10, "end_to_end": 1e-8},
-            "convention_id": "zyz-active-condon-shortley-v1",
-        },
-    }
+            "convention_id": CONVENTION_ID}
+    body = ("[\n" + ",\n".join(_block_text(b) for b in blocks) + "\n ]"
+            if blocks else "[]")
+    meta_text = json.dumps(meta, indent=1).replace("\n", "\n ")
+    return (f'{{\n "group": {json.dumps(basis_set.group_name)},\n "l": {l},\n'
+            f' "blocks": {body},\n "meta": {meta_text}\n}}\n')
 
 
 def save_basis_set(basis_set: BasisSet, out_dir: str | Path) -> list[Path]:
-    """One coefficient file per degree plus a manifest; returns the paths."""
+    """One coefficient file per degree plus a manifest; returns the paths.
+
+    Raises ValueError, before writing anything, if a block holds a NaN or
+    an infinity, which JSON cannot represent.
+    """
+    for b in basis_set.blocks:
+        if not np.isfinite(b.H).all():
+            raise ValueError(f"non-finite coefficient in block "
+                             f"(p={b.p}, l={b.l}, n={b.n}); nothing written")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     paths = []
     for l in range(basis_set.l_max + 1):
         path = out / f"coeff_{basis_set.group_name}_l{l:02d}.json"
-        path.write_text(json.dumps(coeff_file_dict(basis_set, l), indent=1)
-                        + "\n")
+        path.write_text(_coeff_file_text(basis_set, l))
         paths.append(path)
     manifest = {
         "group": basis_set.group_name,
@@ -59,7 +83,33 @@ def save_basis_set(basis_set: BasisSet, out_dir: str | Path) -> list[Path]:
     return paths + [mpath]
 
 
+def _block_matrix(path: Path, l: int, blk: dict) -> np.ndarray:
+    """A block's rows as a (d, 2l+1) complex matrix, or CoeffFileError."""
+    where = f"{path}: block (p={blk['p']}, l={l}, n={blk['n']})"
+    m = 2 * l + 1
+    for i, row in enumerate(blk["rows"]):
+        if len(row) != m:
+            raise CoeffFileError(f"{where}: row {i + 1} has {len(row)} "
+                                 f"entries, expected 2l+1 = {m}")
+    try:
+        a = np.array(blk["rows"], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise CoeffFileError(f"{where}: entries are not [re, im] "
+                             f"number pairs ({exc})") from None
+    if a.shape[1:] != (m, 2):
+        raise CoeffFileError(f"{where}: rows of shape {a.shape[1:]}, "
+                             f"expected ({m}, 2)")
+    if not np.isfinite(a).all():
+        raise CoeffFileError(f"{where}: non-finite coefficient")
+    return a.view(complex).reshape(len(a), m)
+
+
 def load_basis_set(manifest_path: str | Path) -> BasisSet:
+    """The basis set a manifest describes.
+
+    Raises CoeffFileError, naming the file, for a convention_id other than
+    CONVENTION_ID, a row whose length is not 2l+1, or a non-finite entry.
+    """
     mpath = Path(manifest_path)
     manifest = json.loads(mpath.read_text())
     bs = BasisSet(group_name=manifest["group"], l_max=manifest["l_max"],
@@ -67,12 +117,16 @@ def load_basis_set(manifest_path: str | Path) -> BasisSet:
     for name in manifest["files"]:
         if name.startswith("manifest"):
             continue
-        data = json.loads((mpath.parent / name).read_text())
+        path = mpath.parent / name
+        data = json.loads(path.read_text())
+        convention = data.get("meta", {}).get("convention_id")
+        if convention != CONVENTION_ID:
+            raise CoeffFileError(f"{path}: convention_id {convention!r}, "
+                                 f"expected {CONVENTION_ID!r}")
+        l = data["l"]
         for blk in data["blocks"]:
-            rows = np.array([[complex(re, im) for re, im in row]
-                             for row in blk["rows"]])
-            bs.blocks.append(CoeffMatrix(p=blk["p"], l=data["l"],
-                                         n=blk["n"], H=rows))
+            bs.blocks.append(CoeffMatrix(p=blk["p"], l=l, n=blk["n"],
+                                         H=_block_matrix(path, l, blk)))
     bs.blocks.sort(key=lambda b: (b.l, b.p, b.n))
     return bs
 
@@ -98,25 +152,27 @@ def icosphere(subdivisions: int = 5) -> tuple[np.ndarray, np.ndarray]:
         (3, 9, 4), (3, 4, 2), (3, 2, 6), (3, 6, 8), (3, 8, 9),
         (4, 9, 5), (2, 4, 11), (6, 2, 10), (8, 6, 7), (9, 8, 1),
     ]
-    verts = [tuple(v) for v in verts]
+    faces = np.array(faces, dtype=int)
     for _ in range(subdivisions):
-        cache: dict[tuple[int, int], int] = {}
-
-        def midpoint(i, j):
-            key = (min(i, j), max(i, j))
-            if key not in cache:
-                v = np.array(verts[i]) + np.array(verts[j])
-                v /= np.linalg.norm(v)
-                verts.append(tuple(v))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = []
-        for a, b, c in faces:
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces += [(a, ab, ca), (b, bc, ab), (c, ca, bc), (ab, bc, ca)]
-        faces = new_faces
-    return np.array(verts), np.array(faces, dtype=int)
+        # Edges ab, bc, ca of each face in order; each new midpoint is
+        # numbered by the first face edge that reaches it.
+        n = len(verts)
+        edges = faces[:, [0, 1, 1, 2, 2, 0]].reshape(-1, 2)
+        key = edges.min(axis=1) * n + edges.max(axis=1)
+        _, first, inverse = np.unique(key, return_index=True,
+                                      return_inverse=True)
+        order = np.argsort(first)
+        rank = np.empty_like(order)
+        rank[order] = np.arange(len(order))
+        ab, bc, ca = (n + rank[inverse]).reshape(-1, 3).T
+        ends = edges[first[order]]
+        mid = verts[ends[:, 0]] + verts[ends[:, 1]]
+        verts = np.vstack([verts, mid / np.linalg.norm(mid, axis=1,
+                                                        keepdims=True)])
+        a, b, c = faces.T
+        faces = np.stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca],
+                         axis=1).reshape(-1, 3)
+    return verts, faces
 
 
 def displaced_mesh(basis: CoeffMatrix, component: int = 1,
@@ -155,11 +211,17 @@ def write_obj(path: str | Path, vertices: np.ndarray, faces: np.ndarray,
     lines = ["# polybasis surface export"]
     if radii is not None:
         lines.append("# vertex radii:")
-        lines += [f"# r {float(r)!r}" for r in radii]
-    lines += [f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
-              for v in vertices]
-    lines += [f"f {a + 1} {b + 1} {c + 1}" for a, b, c in faces]
+        lines += _records("# r %r", np.asarray(radii, dtype=float))
+    lines += _records("v %r %r %r", np.asarray(vertices, dtype=float))
+    lines += _records("f %d %d %d", np.asarray(faces) + 1)
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def _records(fmt: str, values: np.ndarray) -> list[str]:
+    """fmt once per row of values, as one %-format call; [] for no rows."""
+    if not len(values):
+        return []
+    return ["\n".join([fmt] * len(values)) % tuple(values.ravel().tolist())]
 
 
 def read_obj(path: str | Path) -> tuple[np.ndarray, np.ndarray]:

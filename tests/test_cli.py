@@ -91,6 +91,18 @@ class TestVerifyCommand:
         assert res.exit_code != 0
         assert isinstance(res.exception, json.JSONDecodeError)
 
+    def test_refused_file_is_exit_2(self, runner, basis_out, tmp_path):
+        import shutil
+        bad = tmp_path / "other_convention"
+        shutil.copytree(basis_out, bad)
+        path = bad / "coeff_O_l03.json"
+        data = json.loads(path.read_text())
+        data["meta"]["convention_id"] = "zyz-passive-v0"
+        path.write_text(json.dumps(data, indent=1) + "\n")
+        res = runner.invoke(main, ["verify", str(bad / "manifest_O.json")])
+        assert res.exit_code == 2
+        assert "convention_id" in res.output and str(path) in res.output
+
     def test_missing_manifest_is_usage_error(self, runner, tmp_path):
         res = runner.invoke(main, ["verify", str(tmp_path / "nope.json")])
         assert res.exit_code == 2
