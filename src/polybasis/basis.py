@@ -1,12 +1,15 @@
 """Symmetry-adapted basis functions as coefficient matrices over Y^l.
 
 Construction works on real harmonics Z^l, which rotations map by the real
-orthogonal W_g = U^H D_g U.  For irrep p and degree l the projector
+orthogonal W_g = U^H D_g U (wigner.real_wigner_stacks, one degree at a
+time).  For irrep p and degree l the projector
 P_{j1} = (d_p/N) sum_g Gamma_r(g)_{j1} W_g is real, and P_11 is symmetric
 with eigenvalues 0 and 1, exactly N_{p;l} of them 1.  Each unit eigenvector
 v of P_11 gives one block A with rows P_{j1} v, orthonormal and real by
-Schur orthogonality, and H = A U^T over Y^l.  projection_coefficients, a
-second route to the same subspace, is kept as the tests' reference.
+Schur orthogonality, and H = A U^T over Y^l.  All N_{p;l} blocks of a
+(p, l) are formed together, H entry-wise from U's two nonzeros per
+column.  projection_coefficients, a second route to the same subspace, is
+kept as the tests' reference.
 """
 
 from __future__ import annotations
@@ -153,22 +156,36 @@ def build_basis(real_irrep: RealIrrep, group: Group, l: int,
             f"projector P_11 for p={p}, l={l} has {unit.sum()} unit eigenvalues, "
             f"multiplicity is {multiplicity}; worst eigenvalue distance from "
             f"{{0, 1}} is {dev:.2e}")
+    if not multiplicity:
+        return []
     v = evecs[:, unit]
     # sign: largest-magnitude entry positive, ties to the lowest index
     v = v * np.sign(v[np.abs(v).argmax(axis=0), np.arange(v.shape[1])])
-    rows = proj @ v                                   # (d_p, 2l+1, multiplicity)
-    u_t = wigner.real_sh_transform(l).T
-    out = []
-    for n in range(1, multiplicity + 1):
-        a = rows[:, :, n - 1]
-        # A U^T as two real products: the complex product writes -0.0 where
-        # these write 0.0, which would change the saved coefficient files
-        h = a @ u_t.real + 1j * (a @ u_t.imag)
-        if not realness_row_condition(h):
-            raise BasisError(f"realness row condition violated (p={p}, "
-                             f"l={l}, n={n})")
-        out.append(CoeffMatrix(p=p, l=l, n=n, H=h))
-    return out
+    a = np.moveaxis(proj @ v, 2, 0)                # (multiplicity, d_p, 2l+1)
+    h = real_to_complex_coefficients(a)
+    if not realness_row_condition(h.reshape(-1, 2 * l + 1)):
+        raise BasisError(f"realness row condition violated (p={p}, l={l})")
+    return [CoeffMatrix(p=p, l=l, n=n, H=h[n - 1])
+            for n in range(1, multiplicity + 1)]
+
+
+def real_to_complex_coefficients(a: np.ndarray) -> np.ndarray:
+    """H = A U^T for real A over Z^l (last axis 2l+1), entry-wise from
+    U's two nonzeros per column, bit for bit equal to the dense
+    ``a @ u_t.real + 1j * (a @ u_t.imag)``: each part of H takes one
+    entry of A times the +-1/sqrt(2) (or 1) that real_sh_transform holds,
+    then + 0.0, because the dense product writes 0.0 where this product
+    gives -0.0, and that would change the saved coefficient files.
+    """
+    l = (a.shape[-1] - 1) // 2
+    u = wigner.real_sh_transform(l)
+    h = np.empty(a.shape, dtype=complex)
+    rows = np.arange(2 * l + 1)
+    for part, out in ((u.real, h.real), (u.imag, h.imag)):
+        col = np.abs(part).argmax(axis=1)           # the nonzero of each row
+        np.multiply(a[..., col], part[rows, col], out=out)
+        out += 0.0
+    return h
 
 
 def build_basis_set(group: Group, irreps: list[Irrep],
@@ -176,14 +193,12 @@ def build_basis_set(group: Group, irreps: list[Irrep],
                     seed: int = 0) -> BasisSet:
     """All coefficient matrices up to l_max for the potentially-real irreps."""
     bs = BasisSet(group_name=group.name or "?", l_max=l_max, seed=seed)
-    for l in range(l_max + 1):
-        w_stack = wigner.real_wigner_stack(l, group.elements)
-        for irrep in irreps:
-            r = real_irreps.get(irrep.p)
-            if r is None:
-                continue
-            mult = irrep_multiplicity(group, irrep, l)
-            bs.blocks.extend(build_basis(r, group, l, multiplicity=mult,
+    irrep_mults = [(real_irreps[ir.p], [irrep_multiplicity(group, ir, l)
+                                        for l in range(l_max + 1)])
+                   for ir in irreps if ir.p in real_irreps]
+    for l, w_stack in wigner.real_wigner_stacks(l_max, group.elements):
+        for r, mults in irrep_mults:
+            bs.blocks.extend(build_basis(r, group, l, multiplicity=mults[l],
                                          w_stack=w_stack))
         del w_stack     # not held while the next degree's is built: ~10 % of peak RSS
     return bs

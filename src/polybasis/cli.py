@@ -19,8 +19,7 @@ from .basis import build_basis_set
 from .verify import verify_basis_set
 from . import basis as pbasis
 from . import io as pio
-
-L_MAX_LIMIT = 45
+from .wigner import L_MAX_SUPPORTED
 
 
 def _seed_from(seed: int | None) -> int:
@@ -38,7 +37,7 @@ def main():
 @main.command()
 @click.option("--group", "group_name", required=True,
               type=click.Choice(GROUP_NAMES), help="Polyhedral group.")
-@click.option("--lmax", required=True, type=click.IntRange(0, L_MAX_LIMIT),
+@click.option("--lmax", required=True, type=click.IntRange(0, L_MAX_SUPPORTED),
               help="Highest spherical-harmonic degree.")
 @click.option("--seed", type=int, default=None,
               help="RNG seed (default: POLYBASIS_SEED or 0).")
@@ -71,7 +70,7 @@ def basis(group_name, lmax, seed, out_dir, no_verify):
 @main.command()
 @click.option("--group", "group_name", required=True, type=click.Choice(GROUP_NAMES))
 @click.option("--p", "p", required=True, type=int, help="Irrep index (1-based).")
-@click.option("--l", "l", required=True, type=click.IntRange(0, L_MAX_LIMIT))
+@click.option("--l", "l", required=True, type=click.IntRange(0, L_MAX_SUPPORTED))
 @click.option("--n", "n", default=1, show_default=True, help="Copy index within (p, l).")
 @click.option("--j", "j", default=1, show_default=True, help="Vector component (1-based).")
 @click.option("--k1", type=float, default=None, help="Radial offset kappa1.")

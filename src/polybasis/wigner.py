@@ -8,7 +8,11 @@ R = Rz(alpha) @ Ry(beta) @ Rz(gamma), and
 so that the rotation operator acting on functions, P(g) f(x) = f(R_g^-1 x),
 satisfies P(g) Y_{l,m} = sum_{m'} D^l_{m',m}(g) Y_{l,m'}.  The real
 harmonics are Z^l = U^T Y^l with the unitary U below, and their rotation
-is W = U^-1 D U (real for every rotation).
+is W = U^-1 D U (real for every rotation).  real_wigner_stacks builds W
+for a stack of rotations without a complex D: the z-rotation factors of D
+become the real X(-alpha), X(-gamma) of the real harmonics, so
+W = X(-alpha) W(R_y(beta)) X(-gamma) with one W(R_y(beta)) per distinct
+beta; wigner_D_stack, the complex route, is kept for reference.
 
 The complex harmonics Y_{l,m} (Condon-Shortley phase) come from one fully
 normalised associated-Legendre recurrence in numpy: sh_degrees yields
@@ -200,26 +204,79 @@ def real_sh_transform(l: int) -> np.ndarray:
     return u
 
 
-def real_wigner_stack(l: int, rotations: np.ndarray) -> np.ndarray:
-    """Real orthogonal W^l = U^H D^l U for a stack of rotations, so that
-    Z^l(R^-1 x) = W^T Z^l(x).
+def _to_real_basis(l: int, d: np.ndarray) -> np.ndarray:
+    """Real U^H d U for a stack d of (2l+1)x(2l+1) matrices.
 
     U has its nonzeros at (c, c) and (2l-c, c) only, so both products are
     taken entry-wise, which is cheaper than two dense complex products.
     """
-    d_stack = wigner_D_stack(l, rotations)
     u = real_sh_transform(l)
     diag = u.diagonal()
     mirror = np.where(np.arange(2 * l + 1) == l, 0.0, u[::-1].diagonal())
-    out = np.empty(d_stack.shape)
-    for i, d in enumerate(d_stack):        # one at a time: no stack-sized temporaries
-        du = d * diag + d[:, ::-1] * mirror
-        w = diag.conj()[:, None] * du + mirror.conj()[:, None] * du[::-1]
-        resid = np.abs(w.imag).max()
-        if resid > 1e-12:
-            raise AssertionError(f"W = U^H D U came out non-real ({resid:.2e})")
-        out[i] = w.real
-    return out
+    du = d * diag + d[..., ::-1] * mirror
+    w = diag.conj()[:, None] * du + mirror.conj()[:, None] * du[..., ::-1, :]
+    resid = np.abs(w.imag).max()
+    if resid > 1e-12:
+        raise AssertionError(f"W = U^H D U came out non-real ({resid:.2e})")
+    return w.real
+
+
+class _StackTables:
+    """What every degree of a stack shares: for each rotation the index of
+    its distinct beta, and cos/sin(m alpha), cos/sin(m gamma) for
+    m = -l_max..l_max."""
+
+    def __init__(self, l_max: int, rotations: np.ndarray):
+        angles = [euler_from_rotation(r) for r in rotations]
+        keys = np.array([round(a.beta, 12) for a in angles])
+        _, first, self.beta_index = np.unique(keys, return_index=True,
+                                              return_inverse=True)
+        self.betas = [angles[i].beta for i in first]
+        self.l_max = l_max
+        ms = np.arange(-l_max, l_max + 1)
+        ma = np.outer([a.alpha for a in angles], ms)
+        mg = np.outer([a.gamma for a in angles], ms)
+        self.cos_a, self.sin_a = np.cos(ma), np.sin(ma)
+        self.cos_g, self.sin_g = np.cos(mg), np.sin(mg)
+
+    def stack(self, l: int) -> np.ndarray:
+        """W^l for every rotation: X(-alpha) W(R_y(beta)) X(-gamma), where
+        the real z-rotation X(a) = U^H diag(e^{ima}) U has X[l+m, l+m] =
+        cos ma and X[l+m, l-m] = sin ma.  So X(-a) W takes row l+m to
+        cos(ma) W[l+m] - sin(ma) W[l-m], and W X(-a) takes column l+m to
+        cos(ma) W[:, l+m] + sin(ma) W[:, l-m]; both by broadcasting over
+        the stack, in place."""
+        w_y = _to_real_basis(l, np.stack([wigner_d_small(l, b)
+                                              for b in self.betas]))
+        out = w_y[self.beta_index]
+        cols = slice(self.l_max - l, self.l_max + l + 1)
+        tmp = out[:, ::-1, :] * self.sin_a[:, cols, None]
+        out *= self.cos_a[:, cols, None]
+        out -= tmp
+        np.multiply(out[:, :, ::-1], self.sin_g[:, None, cols], out=tmp)
+        out *= self.cos_g[:, None, cols]
+        out += tmp
+        return out
+
+
+def real_wigner_stacks(l_max: int, rotations: np.ndarray):
+    """Yield (l, W^l) for l = 0..l_max, where W^l is the real orthogonal
+    U^H D^l U for every rotation of the stack, shape (N, 2l+1, 2l+1), so
+    that Z^l(R^-1 x) = W^T Z^l(x).
+
+    The Euler angles and the z-rotation tables are taken once; per degree,
+    one real W(R_y(beta)) per distinct beta is turned into the whole stack
+    by real z-rotations, W = X(-alpha) W(R_y(beta)) X(-gamma).
+    """
+    tables = _StackTables(l_max, rotations)
+    for l in range(l_max + 1):
+        yield l, tables.stack(l)
+
+
+def real_wigner_stack(l: int, rotations: np.ndarray) -> np.ndarray:
+    """W^l alone, equal to the l-th yield of real_wigner_stacks bit for
+    bit; no other degree is built."""
+    return _StackTables(l, rotations).stack(l)
 
 
 def real_rotation_M(l: int, d: np.ndarray) -> np.ndarray:

@@ -1,10 +1,13 @@
 """Reference implementations the tests compare the package against.
 
 Spherical harmonics from scipy, one (l, m) at a time, independent of the
-package's Legendre recurrence (polybasis.wigner.sh_degrees). The
-coefficient-file schema as a dict for ``json.dumps(..., indent=1)``, the
-per-record f-string OBJ writer and the per-midpoint icosphere loop, which
-the package's %-format writers and vectorised subdivision must match.
+package's Legendre recurrence (polybasis.wigner.sh_degrees). The real
+rotation matrices W = U^H D U one element at a time from the complex
+Wigner-D stack, which polybasis.wigner.real_wigner_stacks builds from real
+z-rotations instead. The coefficient-file schema as a dict for
+``json.dumps(..., indent=1)``, the per-record f-string OBJ writer and the
+per-midpoint icosphere loop, which the package's %-format writers and
+vectorised subdivision must match.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from pathlib import Path
 import numpy as np
 from scipy import special as sp_special
 
+from polybasis import wigner
 from polybasis.basis import BasisSet
 
 
@@ -42,6 +46,24 @@ def eval_real_sh(l: int, m: int, theta, phi) -> np.ndarray:
     if resid > 1e-12:
         raise AssertionError(f"real harmonic has imaginary residue {resid:.2e}")
     return np.real(val)
+
+
+def real_wigner_stack(l: int, rotations: np.ndarray) -> np.ndarray:
+    """W^l = U^H D^l U element by element from wigner.wigner_D_stack, with
+    U^H D U taken entry-wise from U's two nonzeros per column."""
+    d_stack = wigner.wigner_D_stack(l, rotations)
+    u = wigner.real_sh_transform(l)
+    diag = u.diagonal()
+    mirror = np.where(np.arange(2 * l + 1) == l, 0.0, u[::-1].diagonal())
+    out = np.empty(d_stack.shape)
+    for i, d in enumerate(d_stack):
+        du = d * diag + d[:, ::-1] * mirror
+        w = diag.conj()[:, None] * du + mirror.conj()[:, None] * du[::-1]
+        resid = np.abs(w.imag).max()
+        if resid > 1e-12:
+            raise AssertionError(f"W = U^H D U came out non-real ({resid:.2e})")
+        out[i] = w.real
+    return out
 
 
 def coeff_file_dict(basis_set: BasisSet, l: int) -> dict:

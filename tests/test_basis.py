@@ -3,7 +3,8 @@ import pytest
 
 from polybasis.basis import (BasisError, BasisSet, assemble_full_H,
                              build_basis, build_basis_set,
-                             projection_coefficients, realness_row_condition)
+                             projection_coefficients, real_to_complex_coefficients,
+                             realness_row_condition)
 from polybasis.groups import irrep_multiplicity
 from polybasis.verify import random_sphere_nodes
 from polybasis import wigner
@@ -104,6 +105,22 @@ class TestBuildBasis:
             a1 = b.H[0] @ wigner.real_sh_transform(b.l).conj()
             assert np.abs(a1.imag).max() < 1e-12
             assert a1.real[np.abs(a1.real).argmax()] > 0
+
+    @pytest.mark.parametrize("d_p", [1, 2, 3, 4, 5])
+    def test_entrywise_H_is_the_dense_product_bit_for_bit(self, d_p):
+        # every (d_p, 2l+1) shape up to l = 45, with exact zeros and -0.0
+        # in A; one stacked call per degree against each block's product
+        rng = np.random.default_rng(d_p)
+        for l in range(wigner.L_MAX_SUPPORTED + 1):
+            a = rng.normal(size=(3, d_p, 2 * l + 1))
+            mask = rng.integers(0, 4, size=a.shape)
+            a[mask == 0] = 0.0
+            a[mask == 1] = -0.0
+            u_t = wigner.real_sh_transform(l).T
+            h = real_to_complex_coefficients(a)
+            for a_n, h_n in zip(a, h):
+                dense = a_n @ u_t.real + 1j * (a_n @ u_t.imag)
+                assert np.array_equal(h_n.view(np.uint64), dense.view(np.uint64)), l
 
     def test_octahedral_invariant_degrees(self, atlas, real_irreps):
         # first octahedrally invariant harmonics: l = 0, 4, 6

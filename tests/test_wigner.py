@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import oracles
 from oracles import eval_complex_sh, eval_real_sh
 from polybasis.wigner import (EulerAngles, L_MAX_SUPPORTED, eval_sh_vector,
                               euler_from_rotation, real_rotation_M,
                               real_rotation_M_cases, real_sh_transform,
-                              real_wigner_stack, rotation_from_euler,
+                              real_wigner_stack, real_wigner_stacks,
+                              rotation_from_euler,
                               sh_degrees, spherical_from_cartesian,
                               wigner_D, wigner_D_stack, wigner_d_factorial_sum,
                               wigner_d_small)
@@ -190,6 +192,45 @@ class TestRealTransform:
         assert np.abs(w - dense).max() < 1e-13
         assert np.abs(np.einsum("gba,gbc->gac", w, w)
                       - np.eye(2 * l + 1)).max() < 1e-12
+
+    @pytest.mark.parametrize("name", ["T", "O", "I"])
+    def test_stacks_match_element_by_element_oracle(self, atlas, name):
+        # every g and every l <= 45; the homomorphism residual over the
+        # generators and the orthogonality residual are no larger than the
+        # oracle's: the worst over all degrees at most equal, each degree
+        # within one rounding unit of 1
+        group, _ = atlas[name]
+        gens = [int(np.abs(group.elements - g).sum(axis=(1, 2)).argmin())
+                for g in group.generators]
+
+        def homomorphism(w):
+            return max(np.abs(w[group.mult_table[i]] - w[i] @ w).max() for i in gens)
+
+        def orthogonality(w):
+            return np.abs(np.einsum("gba,gbc->gac", w, w)
+                          - np.eye(w.shape[1])).max()
+
+        eps = np.finfo(float).eps
+        worst = np.zeros((2, 2))
+        seen = []
+        for l, w in real_wigner_stacks(L_MAX_SUPPORTED, group.elements):
+            seen.append(l)
+            ref = oracles.real_wigner_stack(l, group.elements)
+            assert w.shape == ref.shape and w.dtype == float
+            assert np.abs(w - ref).max() <= 1e-15, l
+            res = np.array([[homomorphism(w), homomorphism(ref)],
+                            [orthogonality(w), orthogonality(ref)]])
+            assert (res[:, 0] <= res[:, 1] + eps).all(), (l, res)
+            worst = np.maximum(worst, res)
+        assert seen == list(range(L_MAX_SUPPORTED + 1))
+        assert (worst[:, 0] <= worst[:, 1]).all(), worst
+
+    @pytest.mark.parametrize("name", ["T", "O", "I"])
+    def test_single_degree_is_that_yield_bit_for_bit(self, atlas, name):
+        rotations = atlas[name][0].elements
+        for l, w in real_wigner_stacks(L_MAX_SUPPORTED, rotations):
+            single = real_wigner_stack(l, rotations)
+            assert np.array_equal(single.view(np.uint64), w.view(np.uint64)), l
 
     def test_transformation_law_real(self):
         rng = np.random.default_rng(17)
